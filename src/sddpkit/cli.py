@@ -13,8 +13,17 @@ from . import engine, oracle, storage
 from .cuts import load_cuts
 from .errors import SddpkitError
 from .model import load_instance, save_instance, validate
-from .stages import policy_subproblem
-from .subproblem import SolveStatus, solve_lp
+
+
+def _add_workers_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted, but starts no threads and changes no result: the "
+        "pure-Python simplex holds the GIL, and a thread pool measured "
+        "slower than a serial run",
+    )
 
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
@@ -45,7 +54,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ub-samples", type=int, default=100)
     p.add_argument("--ub-every", type=int, default=10, help="0 disables UB estimation")
     p.add_argument("--q-scale", default="identity", help="identity or diag:<file>")
-    p.add_argument("--workers", type=int, default=1)
+    _add_workers_flag(p)
     p.add_argument("--early-stop-patience", type=int, default=0)
     p.add_argument("--paths-per-iter", type=int, default=1)
     p.add_argument("--debug-dump", default=None, help="directory for failure dumps")
@@ -125,18 +134,10 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _policy_lower_bound(problem, pool) -> float:
-    spec, _ = policy_subproblem(problem, pool, 0, 0, -1, None)
-    sol = solve_lp(spec)
-    if sol.status is not SolveStatus.OPTIMAL:
-        raise SddpkitError(f"stage-0 problem is {sol.status.value}")
-    return sol.objective
-
-
 def _cmd_verify(args) -> int:
     problem = load_instance(args.instance)
     pool = load_cuts(args.cuts)
-    lb = _policy_lower_bound(problem, pool)
+    lb = engine.policy_decision(problem, pool, 0, 0, None, -1).objective
     v_star = oracle.build_and_solve_extensive_form(problem, node_limit=args.node_limit)
     gap = v_star - lb
     ok = lb <= v_star + args.tol
@@ -161,9 +162,7 @@ def _cmd_evaluate(args) -> int:
         print(f"policy_cost_exact: {cost:.6f}")
         return 0
     rng = np.random.default_rng(args.seed)
-    mean, stderr = engine.estimate_upper_bound(
-        problem, pool, args.samples, rng, workers=args.workers
-    )
+    mean, stderr = engine.estimate_upper_bound(problem, pool, args.samples, rng)
     print(f"policy_cost_mean: {mean:.6f}")
     print(f"policy_cost_stderr: {stderr:.6f}")
     print(f"samples: {args.samples}")
@@ -307,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--samples", type=int, default=1000)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--exact", action="store_true")
-    e.add_argument("--workers", type=int, default=1)
+    _add_workers_flag(e)
     e.add_argument("--node-limit", type=int, default=oracle.DEFAULT_NODE_LIMIT)
     e.set_defaults(func=_cmd_evaluate)
 
@@ -319,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--decay-grid", default="0.95")
     b.add_argument("--threshold", type=float, default=0.99)
     b.add_argument("--out-dir", required=True)
-    b.add_argument("--workers", type=int, default=1)
+    _add_workers_flag(b)
     b.set_defaults(func=_cmd_bench)
     return parser
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, FormatVersionError, MalformedFileError
-from .model import canonical_json
+from .model import ProcessKind, canonical_json
 from .subproblem import SubproblemSpec
 
 CUTS_FORMAT = "mslp-cuts"
@@ -44,9 +44,6 @@ class Cut:
             and np.all(np.isfinite(self.anchor))
         ):
             raise ValueError("cut entries must be finite")
-
-    def value_at(self, R: np.ndarray) -> float:
-        return self.alpha + float(self.beta @ (np.asarray(R, dtype=float) - self.anchor))
 
     def same_as(self, other: "Cut") -> bool:
         return (
@@ -92,15 +89,29 @@ class CutPool:
         ]
 
     @classmethod
-    def for_problem(cls, problem) -> "CutPool":
+    def for_problem(cls, problem, markov: bool | None = None) -> "CutPool":
+        """Empty pool laid out for ``problem``: one family per outcome at the
+        stages 1..T-1 of a Markov chain, one family elsewhere.  ``markov``
+        overrides the process kind (``None`` follows it)."""
+        if markov is None:
+            markov = problem.process.kind is ProcessKind.MARKOV
         return cls(
             resource_dims=problem.resource_dims,
-            n_info=tuple(problem.n_info_states(t) for t in range(problem.T)),
+            n_info=tuple(
+                problem.process.n_outcomes(t) if (markov and t >= 1) else 1
+                for t in range(problem.T)
+            ),
         )
 
     @property
     def n_stages(self) -> int:
         return len(self.resource_dims)
+
+    def info_index(self, t: int, outcome: int) -> int:
+        """Family that holds the cuts for stage t after ``outcome``: the
+        outcome itself where the stage keeps one family per outcome, 0
+        elsewhere (including t = T, which keeps no family)."""
+        return outcome if t < self.n_stages and self.n_info[t] > 1 else 0
 
     def cuts_at(self, t: int, info_index: int) -> list[Cut]:
         return self._buckets[t][info_index].cuts

@@ -11,7 +11,6 @@ trajectory.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +78,8 @@ class EngineConfig:
     ub_every: int = 10
     early_stop_patience: int = 0
     paths_per_iteration: int = 1
+    # Accepted, but starts no threads and changes no result: the pure-Python
+    # simplex holds the GIL, and a thread pool measured slower than serial.
     workers: int = 1
     solver: SubproblemSolver | None = None
     debug_dump: str | None = None
@@ -180,11 +181,7 @@ class SddpState:
         self.problem = problem
         self.config = config
         self.markov = _resolve_markov(problem, config)
-        n_info = tuple(
-            1 if (t == 0 or not self.markov) else problem.process.n_outcomes(t)
-            for t in range(problem.T)
-        )
-        self.pool = CutPool(resource_dims=problem.resource_dims, n_info=n_info)
+        self.pool = CutPool.for_problem(problem, self.markov)
         self.q_mats = _resolve_q(problem, config.q_scale)
         self.solver: SubproblemSolver = config.solver or BundledSolver()
         self.incumbents = [
@@ -195,9 +192,6 @@ class SddpState:
         self.report = SolveReport()
         self.warm: dict = {}
         self.next_k = 0
-
-    def info_index(self, t: int, outcome: int) -> int:
-        return outcome if (self.markov and t >= 1) else 0
 
 
 def _resolve_markov(problem: MultistageProblem, config: EngineConfig) -> bool:
@@ -246,68 +240,55 @@ def init_state(problem: MultistageProblem, config: EngineConfig) -> SddpState:
     return SddpState(problem, config)
 
 
-def _pmap(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _solve_spec(
-    state: SddpState,
+    solver: SubproblemSolver,
+    config: EngineConfig,
     spec: SubproblemSpec,
     key,
     t: int,
     outcome: int,
+    start: np.ndarray | None = None,
 ) -> SubproblemSolution:
-    """Solve with warm-started basis bookkeeping and hard-error policy."""
-    start = state.warm.get(key)
-    if start is not None and start.shape[0] < spec.n_rows:
-        extra = spec.n_rows - start.shape[0]
-        new_slacks = np.arange(spec.n_cols - extra, spec.n_cols)
-        start = np.concatenate([start, new_slacks])
-    if start is not None and start.shape[0] != spec.n_rows:
-        start = None
+    """The engine's one call into the solver, with its hard-error policy:
+    every failure names the stage and outcome and writes the debug dump."""
     try:
-        sol = state.solver.solve(spec, start_basis=start)
+        sol = solver.solve(spec, start_basis=start)
     except NumericalBreakdown as exc:
-        _dump_on_error(state, spec, None, key)
+        _dump_on_error(config, spec, None, key)
         raise NumericalBreakdown(f"stage {t} outcome {outcome}: {exc}") from exc
     if sol.status is SolveStatus.INFEASIBLE:
-        _dump_on_error(state, spec, None, key)
+        _dump_on_error(config, spec, None, key)
         raise InfeasibleSubproblemError(
             f"stage {t} outcome {outcome}: infeasible subproblem "
             "(relatively complete recourse violated)"
         )
     if sol.status is SolveStatus.UNBOUNDED:
-        _dump_on_error(state, spec, None, key)
+        _dump_on_error(config, spec, None, key)
         raise EngineError(f"stage {t} outcome {outcome}: unbounded subproblem")
-    if not verify_residuals(sol, spec, state.config.eps_f):
-        _dump_on_error(state, spec, sol, key)
+    if not verify_residuals(sol, spec, config.eps_f):
+        _dump_on_error(config, spec, sol, key)
         raise ResidualCheckError(
             f"stage {t} outcome {outcome}: primal residual exceeds "
-            f"eps_f={state.config.eps_f}"
+            f"eps_f={config.eps_f}"
         )
     if sol.is_basic_dual:
         gap = complementarity_gap(sol)
-        if gap > state.config.eps_c * (1.0 + abs(sol.objective)):
-            _dump_on_error(state, spec, sol, key)
+        if gap > config.eps_c * (1.0 + abs(sol.objective)):
+            _dump_on_error(config, spec, sol, key)
             raise ResidualCheckError(
                 f"stage {t} outcome {outcome}: complementarity gap {gap} "
-                f"exceeds eps_c={state.config.eps_c}"
+                f"exceeds eps_c={config.eps_c}"
             )
-    if sol.basis is not None and sol.basis.max(initial=-1) < spec.n_cols:
-        state.warm[key] = sol.basis
     return sol
 
 
-def _dump_on_error(state, spec, sol, key) -> None:
-    if not state.config.debug_dump:
+def _dump_on_error(config: EngineConfig, spec, sol, key) -> None:
+    if not config.debug_dump:
         return
     from pathlib import Path
 
     tag = "_".join(str(part) for part in key)
-    path = Path(state.config.debug_dump) / f"subproblem_{tag}.txt"
+    path = Path(config.debug_dump) / f"subproblem_{tag}.txt"
     path.parent.mkdir(parents=True, exist_ok=True)
     dump_subproblem(spec, sol, path)
 
@@ -322,15 +303,17 @@ def _stage_solve(
     rho: float,
     key,
 ) -> tuple[SubproblemSolution, int, float]:
-    """Build, (optionally) regularize and solve the stage problem.
+    """Build, (optionally) regularize and solve the stage problem, warm
+    started from the basis last stored under ``key``.
 
     Returns (solution, stage variable count, objective constant omitted by
     the solver).
     """
     problem = state.problem
-    info = state.info_index(t, outcome)
     pool = state.pool if use_vfa else None
-    spec, n_stage = policy_subproblem(problem, pool, t, info, outcome, R_prev)
+    spec, n_stage = policy_subproblem(
+        problem, pool, t, state.pool.info_index(t, outcome), outcome, R_prev
+    )
     const = 0.0
     if rho > 0.0 and t < problem.T:
         real = problem.realization(t, outcome)
@@ -346,7 +329,16 @@ def _stage_solve(
         c_adj = spec.c - rho * (B_pad.T @ (q @ incumbent))
         spec = SubproblemSpec(c=c_adj, A=spec.A, rhs=spec.rhs, quad=(rho, H))
         const = 0.5 * rho * float(incumbent @ (q @ incumbent))
-    sol = _solve_spec(state, spec, key, t, outcome)
+    start = state.warm.get(key)
+    if start is not None and start.shape[0] < spec.n_rows:
+        extra = spec.n_rows - start.shape[0]
+        new_slacks = np.arange(spec.n_cols - extra, spec.n_cols)
+        start = np.concatenate([start, new_slacks])
+    if start is not None and start.shape[0] != spec.n_rows:
+        start = None
+    sol = _solve_spec(state.solver, state.config, spec, key, t, outcome, start)
+    if sol.basis is not None and sol.basis.max(initial=-1) < spec.n_cols:
+        state.warm[key] = sol.basis
     return sol, n_stage, const
 
 
@@ -394,8 +386,9 @@ def backward_pass(state: SddpState, trajectory: Trajectory, k: int) -> int:
         r_prev = problem.resource_dims[t - 1]
         anchor = trajectory.resource[t - 1]
         n_out = problem.process.n_outcomes(t)
-
-        def solve_outcome(j: int):
+        values = np.empty(n_out)
+        slopes = np.empty((n_out, r_prev))
+        for j in range(n_out):
             sol, _, _ = _stage_solve(
                 state,
                 t,
@@ -405,17 +398,10 @@ def backward_pass(state: SddpState, trajectory: Trajectory, k: int) -> int:
                 rho=0.0,
                 key=("b", t, j),
             )
-            return sol.objective, -sol.duals[:r_prev]
+            values[j] = sol.objective
+            slopes[j] = -sol.duals[:r_prev]
 
-        results = _pmap(solve_outcome, list(range(n_out)), state.config.workers)
-        values = np.array([res[0] for res in results])
-        slopes = np.array([res[1] for res in results]).reshape(n_out, r_prev)
-
-        if state.markov and t - 1 >= 1:
-            n_info = problem.process.n_outcomes(t - 1)
-        else:
-            n_info = 1
-        for i in range(n_info):
+        for i in range(state.pool.n_info[t - 1]):
             probs = problem.process.conditional_probs(t, i)
             alpha = float(probs @ values)
             beta = probs @ slopes
@@ -481,10 +467,7 @@ def run(
                     state.pool,
                     config.ub_samples,
                     state.ub_rng,
-                    markov=state.markov,
-                    solver=state.solver,
-                    eps_f=config.eps_f,
-                    workers=config.workers,
+                    config=config,
                 )
                 state.report.add_ub(k, mean, stderr, config.ub_samples)
         if config.early_stop_patience > 0:
@@ -514,50 +497,33 @@ def estimate_upper_bound(
     n_samples: int,
     rng: np.random.Generator,
     *,
-    markov: bool | None = None,
-    solver: SubproblemSolver | None = None,
-    eps_f: float = 1e-8,
-    workers: int = 1,
+    config: EngineConfig | None = None,
 ) -> tuple[float, float]:
     """Monte-Carlo cost of the cut policy (pure argmin of cost + cuts, no
-    regularization): sample mean and standard error."""
+    regularization): sample mean and standard error.  ``config`` supplies
+    the solver, the residual tolerances and the debug-dump directory."""
     if not _pool_covers_all_stages(pool, problem):
         raise EngineError(
             "upper-bound estimation requires at least one cut at every "
             "stage t < T (every information state)"
         )
-    if markov is None:
-        markov = problem.process.kind is ProcessKind.MARKOV
-    solver = solver or BundledSolver()
-    paths = [sample_path(problem, rng) for _ in range(n_samples)]
+    config = config or EngineConfig()
+    solver = config.solver or BundledSolver()
 
     def simulate(path: ScenarioPath) -> float:
         total = 0.0
         R_prev: np.ndarray | None = None
         for t in range(problem.T + 1):
             outcome = -1 if t == 0 else path.indices[t - 1]
-            info = outcome if (markov and 1 <= t < problem.T) else 0
-            spec, n_stage = policy_subproblem(
-                problem, pool, t, info, outcome, R_prev
+            info = pool.info_index(t, outcome)
+            step = _policy_decision(
+                problem, pool, t, info, R_prev, outcome, solver, config
             )
-            sol = solver.solve(spec)
-            if sol.status is not SolveStatus.OPTIMAL:
-                raise InfeasibleSubproblemError(
-                    f"stage {t} outcome {outcome}: policy simulation hit a "
-                    f"{sol.status.value} subproblem"
-                )
-            if not verify_residuals(sol, spec, eps_f):
-                raise ResidualCheckError(
-                    f"stage {t} outcome {outcome}: residual check failed in "
-                    "policy simulation"
-                )
-            real = problem.realization(t, outcome)
-            x = sol.y[:n_stage]
-            total += float(real.c @ x)
-            R_prev = real.B @ x
+            total += step.stage_cost
+            R_prev = problem.realization(t, outcome).B @ step.x
         return total
 
-    costs = np.array(_pmap(simulate, paths, workers))
+    costs = np.array([simulate(sample_path(problem, rng)) for _ in range(n_samples)])
     mean = float(costs.mean())
     stderr = float(costs.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     return mean, stderr
@@ -574,16 +540,35 @@ def policy_decision(
 ) -> PolicyDecision:
     """Single-stage argmin under the stored approximation; falls back to the
     myopic problem (with a flag) when no cuts exist at a non-terminal stage."""
-    solver = solver or BundledSolver()
+    return _policy_decision(
+        problem,
+        pool,
+        t,
+        info_index,
+        R_prev,
+        outcome,
+        solver or BundledSolver(),
+        EngineConfig(),
+    )
+
+
+def _policy_decision(
+    problem: MultistageProblem,
+    pool: CutPool,
+    t: int,
+    info_index: int,
+    R_prev: np.ndarray | None,
+    outcome: int,
+    solver: SubproblemSolver,
+    config: EngineConfig,
+) -> PolicyDecision:
+    """One cold policy solve; shared by ``policy_decision`` and the policy
+    simulation of ``estimate_upper_bound``."""
     myopic = t < problem.T and pool.n_cuts(t, info_index) == 0
     spec, n_stage = policy_subproblem(
         problem, None if myopic else pool, t, info_index, outcome, R_prev
     )
-    sol = solver.solve(spec)
-    if sol.status is not SolveStatus.OPTIMAL:
-        raise InfeasibleSubproblemError(
-            f"stage {t} outcome {outcome}: policy subproblem is {sol.status.value}"
-        )
+    sol = _solve_spec(solver, config, spec, ("policy", t, outcome), t, outcome)
     real = problem.realization(t, outcome)
     x = sol.y[:n_stage]
     return PolicyDecision(

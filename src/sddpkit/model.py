@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -237,16 +236,6 @@ class MultistageProblem:
             return self.stage0
         return self.process.outcomes[t - 1][outcome]
 
-    def resource_dim(self, t: int) -> int:
-        """Dimension of the post-decision resource vector produced at epoch t."""
-        return self.resource_dims[t]
-
-    def n_info_states(self, t: int) -> int:
-        """Number of cut collections kept at epoch t (one per post-decision
-        information state)."""
-        if self.process.kind is ProcessKind.STAGEWISE_INDEPENDENT or t == 0:
-            return 1
-        return self.process.n_outcomes(t)
 
 
 @dataclass(frozen=True)
@@ -366,16 +355,6 @@ def enumerate_paths(problem: MultistageProblem, max_paths: int) -> list[Scenario
         if prob > 0.0:
             paths.append(ScenarioPath(combo, prob))
     return paths
-
-
-def path_probability(problem: MultistageProblem, indices) -> float:
-    """Probability of a given index path under the problem's process."""
-    prob = 1.0
-    info = 0
-    for t, j in enumerate(indices, start=1):
-        prob *= float(problem.process.conditional_probs(t, info)[j])
-        info = int(j)
-    return prob
 
 
 # --- instance file format -------------------------------------------------
@@ -502,9 +481,3 @@ def load_instance(path) -> MultistageProblem:
         if isinstance(exc, FormatVersionError):
             raise
         raise MalformedFileError(f"instance file {path} is malformed: {exc}") from exc
-
-
-def total_paths(problem: MultistageProblem) -> int:
-    return math.prod(
-        problem.process.n_outcomes(t) for t in range(1, problem.T + 1)
-    )

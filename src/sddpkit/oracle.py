@@ -12,7 +12,7 @@ import numpy as np
 
 from .cuts import CutPool
 from .errors import InfeasibleSubproblemError, TooManyPaths
-from .model import MultistageProblem, ProcessKind
+from .model import MultistageProblem
 from .simplex import solve_standard_lp
 from .stages import policy_subproblem
 from .subproblem import SolveStatus, solve_lp
@@ -198,7 +198,6 @@ def evaluate_policy_exact(
 ) -> float:
     """Exact expected cost of the policy induced by a cut pool (myopic where
     the pool is empty); always an upper bound on the exact optimum."""
-    markov = problem.process.kind is ProcessKind.MARKOV
     visited = 0
 
     def walk(t: int, outcome: int, R_prev: np.ndarray | None) -> float:
@@ -206,7 +205,7 @@ def evaluate_policy_exact(
         visited += 1
         if visited > node_limit:
             raise TooManyPaths(f"policy walk exceeds the {node_limit}-node limit")
-        info = outcome if (markov and t > 0) else 0
+        info = 0 if pool is None else pool.info_index(t, outcome)
         spec, n_stage = policy_subproblem(problem, pool, t, info, outcome, R_prev)
         sol = solve_lp(spec)
         if sol.status is not SolveStatus.OPTIMAL:
@@ -219,7 +218,7 @@ def evaluate_policy_exact(
         if t == problem.T:
             return cost
         R = real.B @ x
-        probs = problem.process.conditional_probs(t + 1, info)
+        probs = problem.process.conditional_probs(t + 1, outcome)
         expected = 0.0
         for j in range(problem.process.n_outcomes(t + 1)):
             if float(probs[j]) == 0.0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalBreakdown
-from .simplex import _Basis, SingularBasis, solve_standard_lp
+from .simplex import _Basis, SingularBasis, _oriented_rows, solve_standard_lp
 
 SUBSPACE_TOL = 1e-10
 MAX_STALL = 200
@@ -39,14 +39,13 @@ def solve_standard_qp(
     c: np.ndarray,
     G: np.ndarray,
     start_basis: np.ndarray | None = None,
-    trace: list | None = None,
 ) -> QpResult:
     """Warm-startable convex QP solve; one cold retry at a tighter
     refactorization cadence before a numerical breakdown propagates."""
     try:
-        return _solve_qp_once(A, b, c, G, start_basis, trace, 100)
+        return _solve_qp_once(A, b, c, G, start_basis, 100)
     except (NumericalBreakdown, SingularBasis):
-        return _solve_qp_once(A, b, c, G, None, trace, 15)
+        return _solve_qp_once(A, b, c, G, None, 15)
 
 
 def _solve_qp_once(
@@ -55,7 +54,6 @@ def _solve_qp_once(
     c: np.ndarray,
     G: np.ndarray,
     start_basis: np.ndarray | None,
-    trace: list | None,
     refactor_every: int,
 ) -> QpResult:
     A = np.asarray(A, dtype=float)
@@ -74,11 +72,7 @@ def _solve_qp_once(
     else:
         start_cols = lp.basis
 
-    # Same extended layout and row orientation as the LP solver, so warm
-    # bases are interchangeable between the two.
-    signs = np.where(b < 0.0, -1.0, 1.0)
-    ext = np.hstack([A * signs[:, None], np.eye(m)])
-    bw = b * signs
+    signs, ext, bw = _oriented_rows(A, b)
 
     def gradient(y: np.ndarray) -> np.ndarray:
         g = np.zeros(n + m)
@@ -185,8 +179,6 @@ def _solve_qp_once(
             break
 
         dy = Z @ step
-        if trace is not None:
-            trace.append(("step", len(super_cols), just_added, float(target)))
         if np.abs(dy).max(initial=0.0) <= 1e-13:
             stall += 1
             bland = True
@@ -220,8 +212,6 @@ def _solve_qp_once(
             var_ids = np.array([moving[i] for i in tied])
             block = int(var_ids[np.argmin(var_ids)])
             y[block] = 0.0
-            if trace is not None:
-                trace.append(("block", block, float(alpha), block in super_cols))
             if block in super_cols:
                 super_cols.remove(block)
             else:

@@ -2,11 +2,12 @@
 
     min c . x   s.t.   A x = b,   x >= 0
 
-Two-phase method with a dense LU factorization of the basis, product-form
-eta updates between periodic refactorizations, Dantzig pricing with a
-permanent switch to Bland's rule on stalling, and lowest-variable-index
-tie-breaking in the ratio test.  All pivoting rules are index-deterministic,
-so identical inputs produce identical bases, primals and duals.
+Two-phase method with an explicit dense inverse of the basis, changed by
+rank-one updates at each pivot and rebuilt from an LU factorization at a
+fixed cadence, Dantzig pricing with a permanent switch to Bland's rule on
+stalling, and lowest-variable-index tie-breaking in the ratio test.  All
+pivoting rules are index-deterministic, so identical inputs produce
+identical bases, primals and duals.
 """
 from __future__ import annotations
 
@@ -208,6 +209,19 @@ def _unit(m: int, p: int) -> np.ndarray:
     return e
 
 
+def _oriented_rows(A: np.ndarray, b: np.ndarray):
+    """Flip rows so the right-hand side is nonnegative (the phase-1 start is
+    then feasible) and append one artificial column per row.
+
+    Returns ``(signs, ext, bw)`` with ``ext = [A * signs | I]`` and
+    ``bw = b * signs``; duals flip back through ``signs``.  The LP and the QP
+    both build their extended matrix here, so warm bases carry between them.
+    """
+    signs = np.where(b < 0.0, -1.0, 1.0)
+    ext = np.hstack([A * signs[:, None], np.eye(A.shape[0])])
+    return signs, ext, b * signs
+
+
 def _crash_basis(ext: np.ndarray, bw: np.ndarray, n: int) -> np.ndarray:
     """Initial basis for phase 1: per row, a positive singleton column when
     one exists (slack-style), the artificial otherwise."""
@@ -293,11 +307,7 @@ def _solve_lp_once(
             )
         return LpResult(status="unbounded")
 
-    # Orient rows so the phase-1 start is feasible; duals flip back at the end.
-    signs = np.where(b < 0.0, -1.0, 1.0)
-    Aw = A * signs[:, None]
-    bw = b * signs
-    ext = np.hstack([Aw, np.eye(m)])
+    signs, ext, bw = _oriented_rows(A, b)
     max_iter = 200 * (m + n) + 10_000
 
     allowed_cols = np.zeros(n + m, dtype=bool)

@@ -128,8 +128,7 @@ def solve_qp(
 ) -> SubproblemSolution:
     """Solve a regularized spec; a vanished penalty routes to the LP path."""
     if spec.quad is None or spec.quad[0] == 0.0:
-        lp_spec = SubproblemSpec(c=spec.c, A=spec.A, rhs=spec.rhs)
-        return solve_lp(lp_spec, start_basis=start_basis)
+        return solve_lp(spec, start_basis=start_basis)
     rho, H = spec.quad
     res = qp.solve_standard_qp(
         spec.A, spec.rhs, spec.c, rho * H, start_basis=start_basis
@@ -153,9 +152,7 @@ class BundledSolver:
     def solve(
         self, spec: SubproblemSpec, start_basis: np.ndarray | None = None
     ) -> SubproblemSolution:
-        if spec.quad is not None and spec.quad[0] > 0.0:
-            return solve_qp(spec, start_basis=start_basis)
-        return solve_lp(spec, start_basis=start_basis)
+        return solve_qp(spec, start_basis=start_basis)
 
 
 def verify_residuals(

@@ -6,7 +6,11 @@ from hypothesis import strategies as st
 from sddpkit.cuts import Cut, CutPool, load_cuts
 from sddpkit.errors import DimensionMismatch, FormatVersionError, MalformedFileError
 from sddpkit.subproblem import SubproblemSpec, solve_lp
-from support import random_bounded_lp, vertex_enumeration_optimum
+from support import (
+    random_bounded_lp,
+    random_recourse_instance,
+    vertex_enumeration_optimum,
+)
 
 
 def newsvendor_stage0_spec():
@@ -244,3 +248,21 @@ def test_wrong_dimension_pool_fails_on_embed(tmp_path):
     loaded = load_cuts(path)
     with pytest.raises(DimensionMismatch):
         loaded.embed(0, 0, newsvendor_stage0_spec(), np.array([[1.0, 0.0]]))
+
+
+def test_for_problem_layout_and_info_index():
+    chain, _ = random_recourse_instance(3, markov=True, T=3)
+    independent, _ = random_recourse_instance(3, T=3)
+    n_out = tuple(chain.process.n_outcomes(t) for t in range(1, chain.T))
+    markov = CutPool.for_problem(chain)
+    assert markov.n_info == (1, *n_out)
+    assert CutPool.for_problem(independent).n_info == (1, 1, 1)
+    forced = CutPool.for_problem(independent, markov=True)
+    assert forced.n_info == (
+        1, *(independent.process.n_outcomes(t) for t in range(1, chain.T))
+    )
+    last = n_out[-1] - 1
+    assert markov.info_index(0, -1) == 0
+    assert markov.info_index(chain.T - 1, last) == last
+    assert markov.info_index(chain.T, last) == 0  # stage T keeps no family
+    assert CutPool(resource_dims=(1, 1), n_info=(1, 1)).info_index(1, 2) == 0

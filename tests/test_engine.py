@@ -21,6 +21,7 @@ from sddpkit.model import (
     StageRealization,
     UncertaintyProcess,
     enumerate_paths,
+    sample_path,
 )
 from sddpkit.oracle import build_and_solve_extensive_form
 from sddpkit.subproblem import BundledSolver
@@ -176,13 +177,16 @@ def test_trajectory_resource_consistency():
         assert np.abs(real.B @ traj.x[t] - traj.resource[t]).max(initial=0.0) <= 1e-10
 
 
-class BreaksOnSecondSolve(BundledSolver):
-    def __init__(self):
+class BreaksOnSolve(BundledSolver):
+    """Raises a breakdown on the ``call``-th solve (counting from 1)."""
+
+    def __init__(self, call):
+        self.call = call
         self.calls = 0
 
     def solve(self, spec, start_basis=None):
         self.calls += 1
-        if self.calls == 2:
+        if self.calls == self.call:
             raise NumericalBreakdown("basis factorization failed")
         return super().solve(spec, start_basis)
 
@@ -191,7 +195,7 @@ def test_numerical_breakdown_names_stage_and_outcome_and_dumps(tmp_path):
     config = EngineConfig(
         iterations=1,
         ub_every=0,
-        solver=BreaksOnSecondSolve(),
+        solver=BreaksOnSolve(2),
         debug_dump=str(tmp_path),
     )
     state = init_state(newsvendor(), config)
@@ -201,6 +205,45 @@ def test_numerical_breakdown_names_stage_and_outcome_and_dumps(tmp_path):
     assert str(info.value) == "stage 1 outcome 1: basis factorization failed"
     assert isinstance(info.value.__cause__, NumericalBreakdown)
     dump = (tmp_path / "subproblem_f_1_1.txt").read_text()
+    assert dump.startswith("subproblem dump")
+    assert "solution: none" in dump
+
+
+def test_breakdown_in_upper_bound_names_stage_and_outcome():
+    p = newsvendor()
+    pool, _ = run(p, EngineConfig(iterations=5, seed=0, ub_every=0))
+    outcome = sample_path(p, np.random.default_rng(0)).indices[0]
+    config = EngineConfig(solver=BreaksOnSolve(2))
+    # the second solve simulates stage 1 of the first sampled path
+    with pytest.raises(NumericalBreakdown) as info:
+        estimate_upper_bound(p, pool, 4, np.random.default_rng(0), config=config)
+    assert str(info.value) == f"stage 1 outcome {outcome}: basis factorization failed"
+    assert isinstance(info.value.__cause__, NumericalBreakdown)
+
+
+def test_breakdown_in_policy_decision_names_stage_and_outcome():
+    p = newsvendor()
+    pool, _ = run(p, EngineConfig(iterations=5, seed=0, ub_every=0))
+    with pytest.raises(NumericalBreakdown) as info:
+        policy_decision(p, pool, 1, 0, np.array([0.0]), 1, solver=BreaksOnSolve(1))
+    assert str(info.value) == "stage 1 outcome 1: basis factorization failed"
+    assert isinstance(info.value.__cause__, NumericalBreakdown)
+
+
+def test_breakdown_in_run_upper_bound_dumps(tmp_path):
+    # iteration 0 solves five subproblems (two forward, two backward, one
+    # lower bound); the sixth is stage 0 of the first simulated path
+    config = EngineConfig(
+        iterations=1,
+        ub_every=1,
+        ub_samples=2,
+        solver=BreaksOnSolve(6),
+        debug_dump=str(tmp_path),
+    )
+    with pytest.raises(NumericalBreakdown) as info:
+        run(newsvendor(), config)
+    assert str(info.value) == "stage 0 outcome -1: basis factorization failed"
+    dump = (tmp_path / "subproblem_policy_0_-1.txt").read_text()
     assert dump.startswith("subproblem dump")
     assert "solution: none" in dump
 
