@@ -1,4 +1,16 @@
-"""Multistage stochastic LP solving via SDDP and its regularized variants."""
+"""Multistage stochastic LP solving via SDDP and its regularized variants.
+
+Importing the package sets OpenBLAS to one thread, overriding any inherited
+``OPENBLAS_NUM_THREADS``.  The stage LPs and QPs are a few hundred rows,
+too small for BLAS threads to pay off, and with two threads the rounding,
+and so the cut file, depends on the thread count.  OpenBLAS reads the
+variable when numpy or scipy first loads it: a program that imports numpy
+before ``sddpkit`` keeps its own thread count.
+"""
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .cuts import Cut, CutPool, load_cuts, save_cuts
 from .engine import (

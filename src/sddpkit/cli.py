@@ -162,7 +162,13 @@ def _cmd_evaluate(args) -> int:
         print(f"policy_cost_exact: {cost:.6f}")
         return 0
     rng = np.random.default_rng(args.seed)
-    mean, stderr = engine.estimate_upper_bound(problem, pool, args.samples, rng)
+    mean, stderr = engine.estimate_upper_bound(
+        problem,
+        pool,
+        args.samples,
+        rng,
+        config=engine.EngineConfig(debug_dump=args.debug_dump),
+    )
     print(f"policy_cost_mean: {mean:.6f}")
     print(f"policy_cost_stderr: {stderr:.6f}")
     print(f"samples: {args.samples}")
@@ -308,6 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--exact", action="store_true")
     _add_workers_flag(e)
     e.add_argument("--node-limit", type=int, default=oracle.DEFAULT_NODE_LIMIT)
+    e.add_argument("--debug-dump", default=None, help="directory for failure dumps")
     e.set_defaults(func=_cmd_evaluate)
 
     b = sub.add_parser("bench", help="regularized vs plain bound trajectories")

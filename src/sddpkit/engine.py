@@ -337,9 +337,15 @@ def _stage_solve(
     if start is not None and start.shape[0] != spec.n_rows:
         start = None
     sol = _solve_spec(state.solver, state.config, spec, key, t, outcome, start)
-    if sol.basis is not None and sol.basis.max(initial=-1) < spec.n_cols:
-        state.warm[key] = sol.basis
+    _keep_basis(state.warm, key, sol, spec)
     return sol, n_stage, const
+
+
+def _keep_basis(warm: dict, key, sol: SubproblemSolution, spec) -> None:
+    """Store the solution's basis as the next warm start under ``key``,
+    unless it holds an artificial column (a redundant row)."""
+    if sol.basis is not None and sol.basis.max(initial=-1) < spec.n_cols:
+        warm[key] = sol.basis
 
 
 def forward_pass(state: SddpState, path: ScenarioPath, k: int) -> Trajectory:
@@ -509,6 +515,10 @@ def estimate_upper_bound(
         )
     config = config or EngineConfig()
     solver = config.solver or BundledSolver()
+    # The pool is fixed while paths are simulated, so the LP under each
+    # (stage, information state) keeps its shape and the basis of the last
+    # path warm-starts the next.
+    warm: dict = {}
 
     def simulate(path: ScenarioPath) -> float:
         total = 0.0
@@ -517,7 +527,7 @@ def estimate_upper_bound(
             outcome = -1 if t == 0 else path.indices[t - 1]
             info = pool.info_index(t, outcome)
             step = _policy_decision(
-                problem, pool, t, info, R_prev, outcome, solver, config
+                problem, pool, t, info, R_prev, outcome, solver, config, warm
             )
             total += step.stage_cost
             R_prev = problem.realization(t, outcome).B @ step.x
@@ -549,6 +559,7 @@ def policy_decision(
         outcome,
         solver or BundledSolver(),
         EngineConfig(),
+        {},
     )
 
 
@@ -561,14 +572,22 @@ def _policy_decision(
     outcome: int,
     solver: SubproblemSolver,
     config: EngineConfig,
+    warm: dict,
 ) -> PolicyDecision:
-    """One cold policy solve; shared by ``policy_decision`` and the policy
-    simulation of ``estimate_upper_bound``."""
+    """One policy solve, shared by ``policy_decision`` and the policy
+    simulation of ``estimate_upper_bound``: it starts from the basis stored
+    in ``warm`` under ``(t, info_index)``, if any, and stores its own there."""
     myopic = t < problem.T and pool.n_cuts(t, info_index) == 0
     spec, n_stage = policy_subproblem(
         problem, None if myopic else pool, t, info_index, outcome, R_prev
     )
-    sol = _solve_spec(solver, config, spec, ("policy", t, outcome), t, outcome)
+    start = warm.get((t, info_index))
+    if start is not None and start.shape[0] != spec.n_rows:
+        start = None
+    sol = _solve_spec(
+        solver, config, spec, ("policy", t, outcome), t, outcome, start
+    )
+    _keep_basis(warm, (t, info_index), sol, spec)
     real = problem.realization(t, outcome)
     x = sol.y[:n_stage]
     return PolicyDecision(

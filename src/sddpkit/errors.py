@@ -23,7 +23,8 @@ class FormatVersionError(MalformedFileError):
 
 class NumericalBreakdown(SddpkitError):
     """A solver could not finish: the basis factorization failed even after
-    a refactorization retry, the QP active set stalled at a degenerate
+    a refactorization retry, the final basis was ill-conditioned or primal
+    infeasible in every retry, the QP active set stalled at a degenerate
     point, or an iteration limit was reached."""
 
 

@@ -395,11 +395,17 @@ def _solve_lp_once(
         raise NumericalBreakdown(
             "basis factorization failed after a refactorization retry"
         ) from None
+    scale_b = 1.0 + np.abs(bw).max(initial=0.0)
     final_resid = np.abs(ext[:, basis.cols] @ x_b - bw).max(initial=0.0)
-    if final_resid > 1e-10 * (1.0 + np.abs(bw).max(initial=0.0)):
+    if final_resid > 1e-10 * scale_b:
         raise NumericalBreakdown(
             "final basis is too ill-conditioned for the feasibility target"
         )
+    # The pivots clip drifting basics to zero, so a basis can end "optimal"
+    # while its exact basic solution is negative; clipping here would hide
+    # an infeasible point (and an objective below the optimum).
+    if x_b.min(initial=0.0) < -1e-9 * scale_b:
+        raise NumericalBreakdown("final basis is primal infeasible")
     x_b[x_b < 0.0] = 0.0
     x = np.zeros(n)
     original = basis.cols < n

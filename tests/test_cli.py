@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sddpkit.cli import cli_main
+from sddpkit.errors import NumericalBreakdown
 from sddpkit.model import save_instance
 from sddpkit.storage import StorageNetworkParams
+from sddpkit.subproblem import BundledSolver
 from support import newsvendor, random_recourse_instance
 
 
@@ -158,6 +164,56 @@ def test_evaluate_monte_carlo_and_exact(tmp_path, news_file, capsys):
     assert cli_main(["evaluate", str(news_file), str(cuts), "--exact"]) == 0
     out = capsys.readouterr().out
     assert "policy_cost_exact: 2.000000" in out
+
+
+def test_evaluate_breakdown_writes_debug_dump(
+    tmp_path, news_file, capsys, monkeypatch
+):
+    cuts = tmp_path / "cuts.json"
+    cli_main(
+        ["solve", str(news_file), "--out-cuts", str(cuts), "--iters", "5",
+         "--ub-every", "0"]
+    )
+
+    def breaks(self, spec, start_basis=None):
+        raise NumericalBreakdown("basis factorization failed")
+
+    monkeypatch.setattr(BundledSolver, "solve", breaks)
+    dump_dir = tmp_path / "dumps"
+    code = cli_main(
+        ["evaluate", str(news_file), str(cuts), "--samples", "4",
+         "--debug-dump", str(dump_dir)]
+    )
+    assert code == 1
+    assert "stage 0 outcome -1: basis factorization failed" in capsys.readouterr().err
+    dump = (dump_dir / "subproblem_policy_0_-1.txt").read_text()
+    assert dump.startswith("subproblem dump")
+
+
+def test_cut_file_independent_of_inherited_blas_threads(tmp_path):
+    inst = tmp_path / "inst.json"
+    assert cli_main(
+        ["generate", "--out", str(inst), "--n-storage", "10", "--seed", "10",
+         "--t-periods", "24", "--n-regimes", "3"]
+    ) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    cut_bytes = []
+    for threads in ("1", "2"):
+        cuts = tmp_path / f"cuts_{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        subprocess.run(
+            [sys.executable, "-m", "sddpkit.cli", "solve", str(inst),
+             "--regularized", "--rho0", "1", "--decay", "0.95", "--iters", "10",
+             "--seed", "0", "--ub-every", "0", "--out-cuts", str(cuts)],
+            env=env,
+            check=True,
+            capture_output=True,
+        )
+        cut_bytes.append(cuts.read_bytes())
+    assert cut_bytes[0] == cut_bytes[1]
 
 
 def test_bench_emits_tables_and_summary(tmp_path, capsys):

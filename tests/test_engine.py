@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sddpkit import engine
 from sddpkit.cuts import Cut, CutPool
 from sddpkit.engine import (
     EngineConfig,
@@ -246,6 +247,56 @@ def test_breakdown_in_run_upper_bound_dumps(tmp_path):
     dump = (tmp_path / "subproblem_policy_0_-1.txt").read_text()
     assert dump.startswith("subproblem dump")
     assert "solution: none" in dump
+
+
+class RecordsStarts(BundledSolver):
+    """Records the start basis passed to every solve."""
+
+    def __init__(self):
+        self.starts = []
+
+    def solve(self, spec, start_basis=None):
+        self.starts.append(start_basis)
+        return super().solve(spec, start_basis)
+
+
+def test_policy_simulation_warm_starts_after_first_path():
+    p, _ = random_recourse_instance(21, T=3)
+    pool, _ = run(p, EngineConfig(iterations=8, seed=0, ub_every=0))
+    solver = RecordsStarts()
+    estimate_upper_bound(
+        p, pool, 6, np.random.default_rng(0), config=EngineConfig(solver=solver)
+    )
+    per_path = p.T + 1
+    assert len(solver.starts) == 6 * per_path
+    assert all(start is None for start in solver.starts[:per_path])
+    assert all(start is not None for start in solver.starts[per_path:])
+
+
+def test_warm_policy_simulation_matches_cold_decisions(monkeypatch):
+    p, _ = random_recourse_instance(22, T=3)
+    pool, _ = run(p, EngineConfig(iterations=8, seed=0, ub_every=0))
+    steps = []
+    inner = engine._policy_decision
+
+    def recording(problem, pool, t, info, R_prev, outcome, *args):
+        step = inner(problem, pool, t, info, R_prev, outcome, *args)
+        steps.append((t, info, R_prev, outcome, step.objective))
+        return step
+
+    monkeypatch.setattr(engine, "_policy_decision", recording)
+    solver = RecordsStarts()
+    estimate_upper_bound(
+        p, pool, 5, np.random.default_rng(1), config=EngineConfig(solver=solver)
+    )
+    monkeypatch.undo()
+    assert len(steps) == 5 * (p.T + 1)
+    # every path after the first is warm started, so the comparison below
+    # checks warm solves against cold ones
+    assert sum(start is not None for start in solver.starts) == 4 * (p.T + 1)
+    for t, info, R_prev, outcome, objective in steps:
+        cold = policy_decision(p, pool, t, info, R_prev, outcome).objective
+        assert objective == pytest.approx(cold, rel=1e-9, abs=1e-9)
 
 
 def test_run_newsvendor_converges():

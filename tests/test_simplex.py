@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sddpkit import simplex
 from sddpkit.simplex import solve_standard_lp
 from support import random_bounded_lp, vertex_enumeration_optimum
 
@@ -129,3 +130,31 @@ def test_degenerate_ties_are_deterministic():
     for res in runs[1:]:
         assert np.array_equal(res.x, runs[0].x)
         assert np.array_equal(res.basis, runs[0].basis)
+
+
+def test_primal_infeasible_final_basis_is_not_optimal(monkeypatch):
+    # Feasible bases {x1, x3} (cost 4.99, the optimum) and {x2, x3} (8.99);
+    # the basis {x1, x2} solves to x1 = 2.33, x2 = -1.33, and clipping x2 to
+    # zero would report cost 2.33, below the optimum.
+    A = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    b = np.array([1.0, 2.33])
+    c = np.array([1.0, 2.0, 3.0])
+    inner = simplex._polish
+    swapped = []
+
+    def polish_at_infeasible_basis_once(basis, rhs, cost_basic):
+        if not swapped:
+            basis.cols[:] = [0, 1]
+            cost_basic = c[basis.cols]
+            x_b, mu = inner(basis, rhs, cost_basic)
+            swapped.append(x_b.copy())
+            return x_b, mu
+        return inner(basis, rhs, cost_basic)
+
+    monkeypatch.setattr(simplex, "_polish", polish_at_infeasible_basis_once)
+    res = solve_standard_lp(A, b, c)
+    assert swapped[0][1] == pytest.approx(-1.33)
+    assert res.status == "optimal"
+    assert sorted(res.basis) != [0, 1]
+    assert res.objective == pytest.approx(4.99, abs=1e-12)
+    assert np.abs(A @ res.x - b).max() <= 1e-12
