@@ -22,10 +22,10 @@ class FormatVersionError(MalformedFileError):
 
 
 class NumericalBreakdown(SddpkitError):
-    """A solver could not finish: the basis factorization failed even after
-    a refactorization retry, the final basis was ill-conditioned or primal
-    infeasible in every retry, the QP active set stalled at a degenerate
-    point, or an iteration limit was reached."""
+    """A solver could not finish, in its first attempt and in its one cold
+    retry: a basis matrix was singular, the final basis was ill-conditioned
+    or primal infeasible, the QP active set stalled at a degenerate point,
+    or an iteration limit was reached."""
 
 
 class EngineError(SddpkitError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalBreakdown
-from .simplex import _Basis, SingularBasis, _oriented_rows, solve_standard_lp
+from .simplex import _Basis, _oriented_rows, solve_standard_lp
 
 SUBSPACE_TOL = 1e-10
 MAX_STALL = 200
@@ -40,12 +40,13 @@ def solve_standard_qp(
     G: np.ndarray,
     start_basis: np.ndarray | None = None,
 ) -> QpResult:
-    """Warm-startable convex QP solve; one cold retry at a tighter
-    refactorization cadence before a numerical breakdown propagates."""
+    """Warm-startable convex QP solve on the simplex's basis kernel (its
+    explicit inverse, cadence and pivot rule).  A numerical breakdown is
+    retried once from a cold start before it propagates."""
     try:
-        return _solve_qp_once(A, b, c, G, start_basis, 100)
-    except (NumericalBreakdown, SingularBasis):
-        return _solve_qp_once(A, b, c, G, None, 15)
+        return _solve_qp_once(A, b, c, G, start_basis)
+    except NumericalBreakdown:
+        return _solve_qp_once(A, b, c, G, None)
 
 
 def _solve_qp_once(
@@ -54,7 +55,6 @@ def _solve_qp_once(
     c: np.ndarray,
     G: np.ndarray,
     start_basis: np.ndarray | None,
-    refactor_every: int,
 ) -> QpResult:
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -79,11 +79,7 @@ def _solve_qp_once(
         g[:n] = c + G @ y[:n]
         return g
 
-    try:
-        basis = _Basis(ext, start_cols, refactor_every)
-    except SingularBasis:
-        raise NumericalBreakdown("QP warm-start basis is singular") from None
-
+    basis = _Basis(ext, start_cols)
     y = np.zeros(n + m)
     y[basis.cols] = np.maximum(basis.solve(bw), 0.0)
     super_cols: list[int] = []
@@ -239,9 +235,7 @@ def _swap_into_basis(
     degenerate: ``y`` stays put but the working set changes, and the next
     direction is not blocked by the same variable again.  Only a row with
     no safe pivot at all leaves the basis unchanged."""
-    e = np.zeros(ext.shape[0])
-    e[pos] = 1.0
-    row = np.abs(basis.solve_transpose(e) @ ext[:, :n])
+    row = np.abs(basis.row(pos) @ ext[:, :n])
     if super_cols:
         best = int(np.argmax(row[super_cols]))
         if row[super_cols[best]] > 1e-7:

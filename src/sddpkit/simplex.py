@@ -2,12 +2,20 @@
 
     min c . x   s.t.   A x = b,   x >= 0
 
-Two-phase method with an explicit dense inverse of the basis, changed by
-rank-one updates at each pivot and rebuilt from an LU factorization at a
-fixed cadence, Dantzig pricing with a permanent switch to Bland's rule on
-stalling, and lowest-variable-index tie-breaking in the ratio test.  All
+Two-phase method with Dantzig pricing, a permanent switch to Bland's rule
+on stalling, and lowest-variable-index tie-breaking in the ratio test.  All
 pivoting rules are index-deterministic, so identical inputs produce
 identical bases, primals and duals.
+
+The basis kernel ``_Basis`` keeps an explicit dense inverse, changed by
+rank-one updates at each pivot and rebuilt from an LU factorization every
+``REFACTOR_EVERY`` updates.  It owns the one pivot rule
+(``_Basis.pivot_floor``): the primal ratio test takes only pivots that the
+update accepts.  The inverse is kept rather than LU factors with an eta
+file because the stage LPs are small (65-102 rows): at 65 rows ``inv @ v``
+takes about 2 us against 16 us for ``lu_solve``, and each eta step would
+add about 3 us of Python.  A solve that breaks down numerically is retried
+once from a cold start.
 """
 from __future__ import annotations
 
@@ -25,42 +33,54 @@ REFACTOR_EVERY = 60
 STALL_LIMIT = 800
 
 
-class SingularBasis(Exception):
-    """Internal: the candidate basis matrix is numerically singular."""
+class SingularBasis(NumericalBreakdown):
+    """The candidate basis matrix is numerically singular."""
 
 
 class _Basis:
     """Explicit dense inverse of the basis, kept current by product-form
-    updates and rebuilt from an LU factorization at a fixed cadence.
+    updates and rebuilt from an LU factorization every ``REFACTOR_EVERY``
+    updates.
 
     The basis is ``matrix[:, cols]``.  Solves are single matrix-vector
     products against the stored inverse.
     """
 
-    def __init__(
-        self, matrix: np.ndarray, cols: np.ndarray, refactor_every: int = REFACTOR_EVERY
-    ):
+    PIVOT_REL = 1e-8
+
+    def __init__(self, matrix: np.ndarray, cols: np.ndarray):
         self.matrix = matrix
         self.cols = np.array(cols, dtype=int)
-        self.refactor_every = refactor_every
-        self._updates = 0
         self.refactorize()
+
+    @classmethod
+    def pivot_floor(cls, direction: np.ndarray) -> float:
+        """Largest |d_p| that ``update`` refuses as a pivot, for the column
+        whose B^{-1} a is ``direction``: a share ``PIVOT_REL`` of
+        max(1, max|d|)."""
+        return cls.PIVOT_REL * max(1.0, np.abs(direction).max(initial=0.0))
 
     def refactorize(self) -> None:
         B = self.matrix[:, self.cols]
         m = B.shape[0]
         if m == 0:
             self._inv = np.zeros((0, 0))
-            self._updates = 0
-            return
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(B, check_finite=False)
-        diag = np.abs(np.diag(lu))
-        if diag.size and diag.min() <= 1e-13 * max(1.0, diag.max()):
-            raise SingularBasis()
-        self._inv = lu_solve((lu, piv), np.eye(m), check_finite=False)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LinAlgWarning)
+                lu, piv = lu_factor(B, check_finite=False)
+            diag = np.abs(np.diag(lu))
+            if diag.min() <= 1e-13 * max(1.0, diag.max()):
+                raise SingularBasis("basis factorization failed: singular basis")
+            self._inv = lu_solve((lu, piv), np.eye(m), check_finite=False)
+        self._factored = self.cols.copy()
         self._updates = 0
+
+    def refresh(self) -> None:
+        """Refactorize unless the inverse was just factorized from the
+        current columns."""
+        if self._updates or not np.array_equal(self.cols, self._factored):
+            self.refactorize()
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         """Return B^{-1} v."""
@@ -70,14 +90,18 @@ class _Basis:
         """Return B^{-T} v."""
         return self._inv.T @ v
 
+    def row(self, p: int) -> np.ndarray:
+        """Return e_p^T B^{-1}, as a copy: products with an aligned copy
+        round as they do with a freshly computed vector."""
+        return self._inv[p].copy()
+
     def update(self, pos: int, new_col: int, direction: np.ndarray) -> None:
         """Replace the basic variable at position ``pos`` by column
         ``new_col``; ``direction`` must equal B^{-1} a_{new_col}."""
         self.cols[pos] = new_col
-        dmax = np.abs(direction).max() if direction.size else 0.0
         if (
-            self._updates >= self.refactor_every
-            or abs(direction[pos]) <= 1e-8 * max(1.0, dmax)
+            self._updates >= REFACTOR_EVERY
+            or abs(direction[pos]) <= self.pivot_floor(direction)
         ):
             self.refactorize()
             return
@@ -132,7 +156,7 @@ def _iterate(
             masked = np.where(enter_mask, reduced, np.inf)
             q = int(np.argmin(masked))
         d = basis.solve(matrix[:, q])
-        pos = d > PIVOT_TOL
+        pos = d > basis.pivot_floor(d)
         if not pos.any():
             return "unbounded", x_b
         ratios = np.full(m, np.inf)
@@ -181,7 +205,7 @@ def _dual_iterate(
             mu = basis.solve_transpose(cost[basis.cols])
             reduced = cost - matrix.T @ mu
         np.maximum(reduced, 0.0, out=reduced)
-        row = basis.solve_transpose(_unit(x_b.shape[0], p)) @ matrix
+        row = basis.row(p) @ matrix
         cand = allowed.copy()
         cand[basis.cols] = False
         cand &= row < -PIVOT_TOL
@@ -201,12 +225,6 @@ def _dual_iterate(
         reduced = reduced - (reduced[q] / row[q]) * row
         basis.update(p, q, d)
     return "stalled", x_b
-
-
-def _unit(m: int, p: int) -> np.ndarray:
-    e = np.zeros(m)
-    e[p] = 1.0
-    return e
 
 
 def _oriented_rows(A: np.ndarray, b: np.ndarray):
@@ -238,7 +256,7 @@ def _crash_basis(ext: np.ndarray, bw: np.ndarray, n: int) -> np.ndarray:
 def _polish(basis: _Basis, rhs: np.ndarray, cost_basic: np.ndarray):
     """Recompute basic values and duals at the final basis with iterated
     refinement (effective up to condition numbers around 1e13)."""
-    basis.refactorize()
+    basis.refresh()
     B = basis.matrix[:, basis.cols]
     x_b = basis.solve(rhs)
     scale_b = 1.0 + np.abs(rhs).max(initial=0.0)
@@ -268,19 +286,14 @@ def solve_standard_lp(
 
     ``start_basis`` is an optional warm start: a set of m column indices
     whose basis is tried first (repaired by dual simplex when only the rhs
-    moved); otherwise the solve falls back to the two-phase cold start.
-    A numerical breakdown triggers one cold retry at a tighter
-    refactorization cadence before the error propagates.
+    moved); otherwise the solve is a two-phase cold start.  Every pivot
+    follows the basis kernel's one pivot rule.  A numerical breakdown is
+    retried once from a cold start before it propagates.
     """
     try:
-        return _solve_lp_once(A, b, c, start_basis, REFACTOR_EVERY)
-    except (NumericalBreakdown, SingularBasis):
-        pass
-    try:
-        return _solve_lp_once(A, b, c, None, 15)
-    except (NumericalBreakdown, SingularBasis):
-        # last resort: all-artificial start (orthonormal), tightest cadence
-        return _solve_lp_once(A, b, c, None, 10, crash=False)
+        return _solve_lp_once(A, b, c, start_basis)
+    except NumericalBreakdown:
+        return _solve_lp_once(A, b, c, None)
 
 
 def _solve_lp_once(
@@ -288,8 +301,6 @@ def _solve_lp_once(
     b: np.ndarray,
     c: np.ndarray,
     start_basis: np.ndarray | None,
-    refactor_every: int,
-    crash: bool = True,
 ) -> LpResult:
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -323,7 +334,7 @@ def _solve_lp_once(
             and cols.max() < n
         ):
             try:
-                cand = _Basis(ext, cols, refactor_every)
+                cand = _Basis(ext, cols)
                 cost2 = np.concatenate([c, np.zeros(m)])
                 x_b = cand.solve(bw)
                 if x_b.min(initial=0.0) >= -1e-9:
@@ -349,52 +360,41 @@ def _solve_lp_once(
             except SingularBasis:
                 basis = None
 
-    try:
-        if basis is None:
-            start_cols = (
-                _crash_basis(ext, bw, n) if crash else np.arange(n, n + m)
-            )
-            try:
-                basis = _Basis(ext, start_cols, refactor_every)
-            except SingularBasis:
-                basis = _Basis(ext, np.arange(n, n + m), refactor_every)
-            x_b = basis.solve(bw)
-            if x_b.min(initial=0.0) < 0.0:
-                basis = _Basis(ext, np.arange(n, n + m), refactor_every)
-                x_b = bw.copy()
-            cost1 = np.zeros(n + m)
-            cost1[n:] = 1.0
-            status, x_b = _iterate(ext, cost1, basis, x_b, allowed_cols, max_iter)
-            if status == "unbounded":
-                raise NumericalBreakdown("phase-1 problem reported unbounded")
-            infeas = float(cost1[basis.cols] @ x_b)
-            if infeas > 1e-9 * (1.0 + np.abs(bw).sum()):
-                return LpResult(status="infeasible")
-            # Pivot remaining artificials out wherever the row is not redundant.
-            for pos in range(m):
-                if basis.cols[pos] < n:
-                    continue
-                e = np.zeros(m)
-                e[pos] = 1.0
-                row = ext[:, :n].T @ basis.solve_transpose(e)
-                row[basis.cols[basis.cols < n]] = 0.0
-                pivots = np.abs(row) > 1e-7
-                if pivots.any():
-                    q = int(np.argmax(pivots))
-                    d = basis.solve(ext[:, q])
-                    basis.update(pos, q, d)
-                x_b[pos] = 0.0
-
-        cost2 = np.concatenate([c, np.zeros(m)])
-        status, x_b = _iterate(ext, cost2, basis, x_b, allowed_cols, max_iter)
-        feasible_cols = basis.cols.copy()
+    if basis is None:
+        try:
+            basis = _Basis(ext, _crash_basis(ext, bw, n))
+        except SingularBasis:
+            basis = _Basis(ext, np.arange(n, n + m))
+        x_b = basis.solve(bw)
+        if x_b.min(initial=0.0) < 0.0:
+            basis = _Basis(ext, np.arange(n, n + m))
+            x_b = bw.copy()
+        cost1 = np.zeros(n + m)
+        cost1[n:] = 1.0
+        status, x_b = _iterate(ext, cost1, basis, x_b, allowed_cols, max_iter)
         if status == "unbounded":
-            return LpResult(status="unbounded", feasible_basis=feasible_cols)
-        x_b, mu = _polish(basis, bw, cost2[basis.cols])
-    except SingularBasis:
-        raise NumericalBreakdown(
-            "basis factorization failed after a refactorization retry"
-        ) from None
+            raise NumericalBreakdown("phase-1 problem reported unbounded")
+        infeas = float(cost1[basis.cols] @ x_b)
+        if infeas > 1e-9 * (1.0 + np.abs(bw).sum()):
+            return LpResult(status="infeasible")
+        # Pivot remaining artificials out wherever the row is not redundant.
+        for pos in range(m):
+            if basis.cols[pos] < n:
+                continue
+            row = ext[:, :n].T @ basis.row(pos)
+            row[basis.cols[basis.cols < n]] = 0.0
+            pivots = np.abs(row) > 1e-7
+            if pivots.any():
+                q = int(np.argmax(pivots))
+                d = basis.solve(ext[:, q])
+                basis.update(pos, q, d)
+            x_b[pos] = 0.0
+
+    cost2 = np.concatenate([c, np.zeros(m)])
+    status, x_b = _iterate(ext, cost2, basis, x_b, allowed_cols, max_iter)
+    if status == "unbounded":
+        return LpResult(status="unbounded", feasible_basis=basis.cols.copy())
+    x_b, mu = _polish(basis, bw, cost2[basis.cols])
     scale_b = 1.0 + np.abs(bw).max(initial=0.0)
     final_resid = np.abs(ext[:, basis.cols] @ x_b - bw).max(initial=0.0)
     if final_resid > 1e-10 * scale_b:

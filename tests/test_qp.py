@@ -1,12 +1,9 @@
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from sddpkit.qp import solve_standard_qp
 from sddpkit.simplex import solve_standard_lp
-from support import random_bounded_lp
+from support import load_fixture, random_bounded_lp
 
 
 def quad_obj(c, G, x):
@@ -113,14 +110,8 @@ def test_degenerate_block_without_superbasic_pivot():
     # pivot in its row (8.5e-8) is below the safe-pivot threshold.  The
     # working set must still change, from the captured warm basis and from
     # a cold start alike.
-    path = Path(__file__).parent / "fixtures" / "qp_degenerate_block.json"
-    data = json.loads(path.read_text())
-    A = np.zeros((data["m"], data["n"]))
-    A[data["A"]["rows"], data["A"]["cols"]] = data["A"]["vals"]
-    b = np.array(data["b"])
-    c = np.array(data["c"])
-    G = np.diag(data["g_diag"])
-    for start in (np.array(data["warm_basis"]), None):
+    A, b, c, G, warm_basis = load_fixture("qp_degenerate_block.json")
+    for start in (warm_basis, None):
         assert_kkt(solve_standard_qp(A, b, c, G, start_basis=start), A, b, c, G)
 
 

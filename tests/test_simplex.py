@@ -3,7 +3,7 @@ import pytest
 
 from sddpkit import simplex
 from sddpkit.simplex import solve_standard_lp
-from support import random_bounded_lp, vertex_enumeration_optimum
+from support import load_fixture, random_bounded_lp, vertex_enumeration_optimum
 
 
 def test_one_simplex_vertex():
@@ -158,3 +158,37 @@ def test_primal_infeasible_final_basis_is_not_optimal(monkeypatch):
     assert sorted(res.basis) != [0, 1]
     assert res.objective == pytest.approx(4.99, abs=1e-12)
     assert np.abs(A @ res.x - b).max() <= 1e-12
+
+
+def test_singular_pivot_fixture_solves_cold():
+    # Captured storage stage LP (70 x 95) on which the primal ratio test
+    # once took a pivot the basis update refused; the forced refactorization
+    # then met a singular basis.  The optimum is HiGHS's (the fixture's
+    # ``highs_objective``).
+    A, b, c, _, _ = load_fixture("lp_singular_pivot.json")
+    res = solve_standard_lp(A, b, c)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(3602.1989171162295, rel=1e-9, abs=0.0)
+    assert np.abs(A @ res.x - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
+
+
+def test_factorization_goes_through_module_lu_names(monkeypatch):
+    # The traced benchmark counts factorizations by wrapping these two
+    # module globals; the basis kernel must look them up there.
+    calls = {"lu_factor": 0, "lu_solve": 0}
+    for name in calls:
+        inner = getattr(simplex, name)
+
+        def counted(*args, _name=name, _inner=inner, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(simplex, name, counted)
+    res = solve_standard_lp(
+        np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]]),
+        np.array([2.0, 0.0]),
+        np.array([-1.0, -2.0, 0.0]),
+    )
+    assert res.status == "optimal"
+    assert calls["lu_factor"] >= 1
+    assert calls["lu_solve"] >= 1
