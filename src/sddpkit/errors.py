@@ -25,7 +25,9 @@ class NumericalBreakdown(SddpkitError):
     """A solver could not finish, in its first attempt and in its one cold
     retry: a basis matrix was singular, the final basis was ill-conditioned
     or primal infeasible, the QP active set stalled at a degenerate point,
-    or an iteration limit was reached."""
+    the QP's final point (from its last reduced Newton step and the basis
+    kernel's polish) was infeasible or missed the constraints, or an
+    iteration limit was reached."""
 
 
 class EngineError(SddpkitError):

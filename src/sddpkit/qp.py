@@ -2,12 +2,15 @@
 
     min c . y + 1/2 y' G y   s.t.   A y = b,   y >= 0,    G PSD
 
-Reduced-space scheme warm-started from a vertex of the feasible region
-(the optimum of the LP relaxation when it exists): the working set is the
-complement of basic + superbasic variables, search directions live in the
-null space spanned by the superbasic columns, and the reduced Newton system
-is solved by least squares so flat (zero-curvature) directions fall back to
-simplex-like ratio steps.  All choices are index-deterministic.
+Reduced-space scheme on the simplex's basis kernel, warm-started from a
+vertex of the feasible region (the optimum of the LP relaxation when it
+exists): the working set is the complement of basic + superbasic variables,
+search directions live in the null space spanned by the superbasic columns,
+and the reduced Newton system is solved by least squares so flat
+(zero-curvature) directions fall back to simplex-like ratio steps.  At the
+optimal working set one last reduced Newton step places the superbasics and
+the kernel's ``_polish`` recomputes the basics and the multipliers, as at
+the end of an LP solve.  All choices are index-deterministic.
 """
 from __future__ import annotations
 
@@ -16,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalBreakdown
-from .simplex import _Basis, _oriented_rows, solve_standard_lp
+from .simplex import _Basis, _oriented_rows, _polish, solve_standard_lp
 
-SUBSPACE_TOL = 1e-10
 MAX_STALL = 200
 
 
@@ -41,8 +43,9 @@ def solve_standard_qp(
     start_basis: np.ndarray | None = None,
 ) -> QpResult:
     """Warm-startable convex QP solve on the simplex's basis kernel (its
-    explicit inverse, cadence and pivot rule).  A numerical breakdown is
-    retried once from a cold start before it propagates."""
+    explicit inverse, cadence and pivot rule); the final point and
+    multipliers come from one reduced Newton step and the kernel's
+    ``_polish``.  A numerical breakdown is retried once cold."""
     try:
         return _solve_qp_once(A, b, c, G, start_basis)
     except NumericalBreakdown:
@@ -74,11 +77,6 @@ def _solve_qp_once(
 
     signs, ext, bw = _oriented_rows(A, b)
 
-    def gradient(y: np.ndarray) -> np.ndarray:
-        g = np.zeros(n + m)
-        g[:n] = c + G @ y[:n]
-        return g
-
     basis = _Basis(ext, start_cols)
     y = np.zeros(n + m)
     y[basis.cols] = np.maximum(basis.solve(bw), 0.0)
@@ -91,27 +89,22 @@ def _solve_qp_once(
     bland = False
 
     for _ in range(max_iter):
-        g = gradient(y)
+        g = np.zeros(n + m)
+        g[:n] = c + G @ y[:n]
         mu = basis.solve_transpose(g[basis.cols])
         lam = g - ext.T @ mu
         lam[basis.cols] = 0.0
         scale = 1.0 + np.abs(g).max(initial=0.0)
         tol = 1e-9 * scale
 
-        if super_cols:
-            lam_s = lam[super_cols]
-        else:
-            lam_s = np.zeros(0)
-
         just_added = False
-        if lam_s.size == 0 or np.abs(lam_s).max() <= tol:
+        if np.abs(lam[super_cols]).max(initial=0.0) <= tol:
             mask = allowed.copy()
             mask[basis.cols] = False
-            if super_cols:
-                mask[super_cols] = False
+            mask[super_cols] = False
             mask &= lam < -tol
             if not mask.any():
-                return _finish(basis, ext, bw, signs, y, super_cols, c, G, n, m)
+                return _finish(basis, ext, bw, signs, y, lam, super_cols, c, G)
             if bland:
                 q = int(np.argmax(mask))
             else:
@@ -126,15 +119,7 @@ def _solve_qp_once(
         # is always a strict descent direction.
         while True:
             s = len(super_cols)
-            Wmat = np.column_stack([basis.solve(ext[:, j]) for j in super_cols])
-            Z = np.zeros((n + m, s))
-            for l, j in enumerate(super_cols):
-                Z[j, l] = 1.0
-            Z[np.ix_(basis.cols, range(s))] -= Wmat
-
-            GZ = np.zeros((n + m, s))
-            GZ[:n] = G @ Z[:n]
-            M = Z.T @ GZ
+            Z, M = _subspace(basis, ext, super_cols, G, n)
             rhs = -lam[super_cols]
             step, *_ = np.linalg.lstsq(M, rhs, rcond=None)
             resid = M @ step - rhs
@@ -191,9 +176,8 @@ def _solve_qp_once(
         vals = y[moving]
         neg = dv < -1e-12
         ratios = np.full(dv.shape, np.inf)
-        if neg.any():
-            ratios[neg] = -vals[neg] / dv[neg]
-        alpha_max = ratios.min() if neg.any() else np.inf
+        ratios[neg] = -vals[neg] / dv[neg]
+        alpha_max = ratios.min(initial=np.inf)
         alpha = min(target, alpha_max)
         if not np.isfinite(alpha):
             return QpResult(status="unbounded")
@@ -249,62 +233,53 @@ def _swap_into_basis(
         basis.update(pos, entering, basis.solve(ext[:, entering]))
 
 
+def _subspace(
+    basis: _Basis, ext: np.ndarray, S: list[int], G: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Null-space basis Z of the working set and the reduced Hessian
+    Z[:n]' G Z[:n], from one basis solve: Z has unit entries on the
+    superbasics ``S`` and -B^{-1} N_S on the basics."""
+    Z = np.zeros((ext.shape[1], len(S)))
+    Z[S, range(len(S))] = 1.0
+    Z[basis.cols] -= basis.solve(ext[:, S])
+    return Z, Z[:n].T @ (G @ Z[:n])
+
+
 def _finish(
     basis: _Basis,
     ext: np.ndarray,
     bw: np.ndarray,
     signs: np.ndarray,
     y: np.ndarray,
-    super_cols: list[int],
+    lam: np.ndarray,
+    S: list[int],
     c: np.ndarray,
     G: np.ndarray,
-    n: int,
-    m: int,
 ) -> QpResult:
-    """Final polish: the active-set loop only identifies the working set;
-    the exact point and multipliers come from one KKT solve over the free
-    variables, wiping out any incremental drift."""
-    free = basis.cols.tolist() + list(super_cols)
-    F = np.array(free, dtype=int)
-    nf = F.shape[0]
-    G_FF = np.zeros((nf, nf))
-    orig = F < n
-    if orig.any():
-        io = np.where(orig)[0]
-        G_FF[np.ix_(io, io)] = G[np.ix_(F[io], F[io])]
-    E = ext[:, F]
-    c_ext = np.zeros(n + m)
-    c_ext[:n] = c
-    K = np.zeros((nf + m, nf + m))
-    K[:nf, :nf] = G_FF
-    K[:nf, nf:] = E.T
-    K[nf:, :nf] = E
-    rhs = np.concatenate([-c_ext[F], bw])
-    scale = 1.0 + np.abs(rhs).max(initial=0.0)
-    try:
-        sol = np.linalg.solve(K, rhs)
-        for _ in range(4):
-            resid = rhs - K @ sol
-            if np.abs(resid).max(initial=0.0) <= 1e-13 * scale:
-                break
-            sol = sol + np.linalg.solve(K, resid)
-        ok = np.abs(K @ sol - rhs).max(initial=0.0) <= 1e-8 * scale
-    except np.linalg.LinAlgError:
-        ok = False
-    if not ok:
-        sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-        if np.abs(K @ sol - rhs).max(initial=0.0) > 1e-8 * scale:
-            raise NumericalBreakdown("QP working-set KKT system is inconsistent")
-    y_f = sol[:nf]
-    mu = -sol[nf:]
+    """The loop only identifies the working set.  One reduced Newton step on
+    the superbasics ``S``, against their reduced gradient ``lam``, reaches
+    its minimizer; ``_polish`` then recomputes the basics from
+    ``bw - N_S y_S`` and the duals from ``g_B``, wiping out any drift."""
+    n = c.shape[0]
+    if S:
+        Z, M = _subspace(basis, ext, S, G, n)
+        step, *_ = np.linalg.lstsq(M, -lam[S], rcond=None)
+        y = y + Z @ step
+    g = np.zeros_like(y)
+    g[:n] = c + G @ y[:n]
+    y_s = y[S]
+    x_b, mu = _polish(basis, bw - ext[:, S] @ y_s, g[basis.cols])
+    F = basis.cols.tolist() + S
+    y_f = np.concatenate([x_b, y_s])
     if y_f.min(initial=0.0) < -1e-7 * (1.0 + np.abs(y_f).max(initial=0.0)):
         raise NumericalBreakdown(
             "QP active set terminated with an infeasible working set"
         )
-    y = np.zeros(n + m)
+    scale = 1.0 + np.abs(bw).max(initial=0.0)
+    if np.abs(ext[:, F] @ y_f - bw).max(initial=0.0) > 1e-8 * scale:
+        raise NumericalBreakdown("QP working-set point misses the constraints")
+    y = np.zeros_like(y)
     y[F] = np.maximum(y_f, 0.0)
-
-    g = np.zeros(n + m)
     g[:n] = c + G @ y[:n]
     lam = g - ext.T @ mu
     lam[F] = 0.0
@@ -318,5 +293,5 @@ def _finish(
         reduced_costs=lam[:n].copy(),
         objective=objective,
         basis=basis.cols.copy(),
-        n_superbasic=len(super_cols),
+        n_superbasic=len(S),
     )

@@ -366,9 +366,6 @@ def _solve_lp_once(
         except SingularBasis:
             basis = _Basis(ext, np.arange(n, n + m))
         x_b = basis.solve(bw)
-        if x_b.min(initial=0.0) < 0.0:
-            basis = _Basis(ext, np.arange(n, n + m))
-            x_b = bw.copy()
         cost1 = np.zeros(n + m)
         cost1[n:] = 1.0
         status, x_b = _iterate(ext, cost1, basis, x_b, allowed_cols, max_iter)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sddpkit import simplex
+from sddpkit.qp import solve_standard_qp
 from sddpkit.simplex import solve_standard_lp
 from support import load_fixture, random_bounded_lp, vertex_enumeration_optimum
 
@@ -174,7 +175,12 @@ def test_singular_pivot_fixture_solves_cold():
 
 def test_factorization_goes_through_module_lu_names(monkeypatch):
     # The traced benchmark counts factorizations by wrapping these two
-    # module globals; the basis kernel must look them up there.
+    # module globals; the basis kernel must look them up there.  The QP
+    # finishes on the same kernel, so it needs no dense solve of its own.
+    def no_dense_solve(*args, **kwargs):
+        raise AssertionError("numpy.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", no_dense_solve)
     calls = {"lu_factor": 0, "lu_solve": 0}
     for name in calls:
         inner = getattr(simplex, name)
@@ -190,5 +196,18 @@ def test_factorization_goes_through_module_lu_names(monkeypatch):
         np.array([-1.0, -2.0, 0.0]),
     )
     assert res.status == "optimal"
+    assert calls["lu_factor"] >= 1
+    assert calls["lu_solve"] >= 1
+    # A QP with a superbasic at its optimum (an interior point).
+    calls.update(lu_factor=0, lu_solve=0)
+    res = solve_standard_qp(
+        np.array([[1.0, 1.0, 1.0]]),
+        np.array([2.0]),
+        np.array([-1.0, -0.5, 0.0]),
+        np.diag([2.0, 2.0, 0.0]),
+    )
+    assert res.status == "optimal"
+    assert res.n_superbasic > 0
+    assert np.allclose(res.x[:2], [0.5, 0.25])
     assert calls["lu_factor"] >= 1
     assert calls["lu_solve"] >= 1
