@@ -57,7 +57,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     _add_workers_flag(p)
     p.add_argument("--early-stop-patience", type=int, default=0)
     p.add_argument("--paths-per-iter", type=int, default=1)
-    p.add_argument("--debug-dump", default=None, help="directory for failure dumps")
+    p.add_argument("--debug-dump", default=None, help="directory for JSON replay files")
 
 
 def _config_from_args(args, iterations=None, regularized=None) -> engine.EngineConfig:
@@ -106,6 +106,10 @@ def _cmd_generate(args) -> int:
         params.p_stay = args.p_stay
     if args.stagewise:
         params.markov = False
+    bad = params.violations()
+    if bad:
+        print("error: invalid storage params: " + "; ".join(bad), file=sys.stderr)
+        return 1
     rng = np.random.default_rng(args.seed)
     problem = storage.generate_storage_instance(params, rng)
     report = validate(problem)
@@ -314,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--exact", action="store_true")
     _add_workers_flag(e)
     e.add_argument("--node-limit", type=int, default=oracle.DEFAULT_NODE_LIMIT)
-    e.add_argument("--debug-dump", default=None, help="directory for failure dumps")
+    e.add_argument("--debug-dump", default=None, help="directory for JSON replay files")
     e.set_defaults(func=_cmd_evaluate)
 
     b = sub.add_parser("bench", help="regularized vs plain bound trajectories")

@@ -7,14 +7,12 @@ right-hand sides small even when slopes and anchors are large.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, FormatVersionError, MalformedFileError
-from .model import ProcessKind, canonical_json
+from .errors import DimensionMismatch
+from .model import ProcessKind, read_json, write_json
 from .subproblem import SubproblemSpec
 
 CUTS_FORMAT = "mslp-cuts"
@@ -129,6 +127,11 @@ class CutPool:
                     yield t, info, cut
 
     def add_cut(self, t: int, info_index: int, cut: Cut) -> None:
+        if not (0 <= t < self.n_stages and 0 <= info_index < self.n_info[t]):
+            raise DimensionMismatch(
+                f"no cut family {info_index} at stage {t}: the pool has "
+                f"families {list(self.n_info)} at stages 0..{self.n_stages - 1}"
+            )
         if cut.beta.shape[0] != self.resource_dims[t]:
             raise DimensionMismatch(
                 f"cut slope has dimension {cut.beta.shape[0]}, stage {t} "
@@ -212,8 +215,6 @@ class CutPool:
 
     def to_obj(self) -> dict:
         return {
-            "format": CUTS_FORMAT,
-            "version": CUTS_VERSION,
             "resource_dims": list(self.resource_dims),
             "n_info": list(self.n_info),
             "cuts": [
@@ -231,12 +232,6 @@ class CutPool:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "CutPool":
-        if obj.get("format") != CUTS_FORMAT:
-            raise FormatVersionError(
-                f"not a cut file (format field: {obj.get('format')!r})"
-            )
-        if obj.get("version") != CUTS_VERSION:
-            raise FormatVersionError(f"unsupported cut file version {obj.get('version')!r}")
         pool = cls(resource_dims=obj["resource_dims"], n_info=obj["n_info"])
         for rec in obj["cuts"]:
             pool.add_cut(
@@ -252,23 +247,11 @@ class CutPool:
         return pool
 
     def save(self, path) -> None:
-        Path(path).write_text(canonical_json(self.to_obj()))
+        write_json(path, CUTS_FORMAT, CUTS_VERSION, self.to_obj())
 
 
 def load_cuts(path) -> CutPool:
-    text = Path(path).read_text()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedFileError(f"cannot parse cut file {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise MalformedFileError(f"cut file {path} is not a JSON object")
-    try:
-        return CutPool.from_obj(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, FormatVersionError):
-            raise
-        raise MalformedFileError(f"cut file {path} is malformed: {exc}") from exc
+    return read_json(path, CUTS_FORMAT, CUTS_VERSION, "cut", CutPool.from_obj)
 
 
 def save_cuts(pool: CutPool, path) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .subproblem import (
     SubproblemSpec,
     SubproblemSolver,
     complementarity_gap,
-    dump_subproblem,
+    save_subproblem,
     verify_residuals,
 )
 
@@ -116,7 +117,6 @@ class IterationStats:
     sampled_cost: float
     rho: float
     wall_ms: float
-    cuts_added: int
 
 
 @dataclass
@@ -161,8 +161,6 @@ class SolveReport:
         return "\n".join(lines) + "\n"
 
     def save_csv(self, path) -> None:
-        from pathlib import Path
-
         Path(path).write_text(self.to_csv_text())
 
 
@@ -191,7 +189,6 @@ class SddpState:
         self.ub_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
         self.report = SolveReport()
         self.warm: dict = {}
-        self.next_k = 0
 
 
 def _resolve_markov(problem: MultistageProblem, config: EngineConfig) -> bool:
@@ -250,47 +247,43 @@ def _solve_spec(
     start: np.ndarray | None = None,
 ) -> SubproblemSolution:
     """The engine's one call into the solver, with its hard-error policy:
-    every failure names the stage and outcome and writes the debug dump."""
+    every failure names the stage and outcome and, with ``debug_dump`` set,
+    writes the spec and ``start`` to ``subproblem_<key>.json`` for replay."""
+    where = f"stage {t} outcome {outcome}"
+    cause = None
     try:
         sol = solver.solve(spec, start_basis=start)
     except NumericalBreakdown as exc:
-        _dump_on_error(config, spec, None, key)
-        raise NumericalBreakdown(f"stage {t} outcome {outcome}: {exc}") from exc
+        error, cause = NumericalBreakdown(f"{where}: {exc}"), exc
+    else:
+        error = _solution_error(sol, spec, config, where)
+    if error is None:
+        return sol
+    if config.debug_dump:
+        tag = "_".join(str(part) for part in key)
+        path = Path(config.debug_dump) / f"subproblem_{tag}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        save_subproblem(spec, path, start, {"key": list(key), "error": str(error)})
+    raise error from cause
+
+
+def _solution_error(sol, spec, config, where: str) -> EngineError | None:
+    """The error a returned solution calls for, or ``None`` if it passes."""
     if sol.status is SolveStatus.INFEASIBLE:
-        _dump_on_error(config, spec, None, key)
-        raise InfeasibleSubproblemError(
-            f"stage {t} outcome {outcome}: infeasible subproblem "
-            "(relatively complete recourse violated)"
+        return InfeasibleSubproblemError(
+            f"{where}: infeasible subproblem (relatively complete recourse violated)"
         )
     if sol.status is SolveStatus.UNBOUNDED:
-        _dump_on_error(config, spec, None, key)
-        raise EngineError(f"stage {t} outcome {outcome}: unbounded subproblem")
+        return EngineError(f"{where}: unbounded subproblem")
     if not verify_residuals(sol, spec, config.eps_f):
-        _dump_on_error(config, spec, sol, key)
-        raise ResidualCheckError(
-            f"stage {t} outcome {outcome}: primal residual exceeds "
-            f"eps_f={config.eps_f}"
-        )
+        return ResidualCheckError(f"{where}: primal residual exceeds eps_f={config.eps_f}")
     if sol.is_basic_dual:
         gap = complementarity_gap(sol)
         if gap > config.eps_c * (1.0 + abs(sol.objective)):
-            _dump_on_error(config, spec, sol, key)
-            raise ResidualCheckError(
-                f"stage {t} outcome {outcome}: complementarity gap {gap} "
-                f"exceeds eps_c={config.eps_c}"
+            return ResidualCheckError(
+                f"{where}: complementarity gap {gap} exceeds eps_c={config.eps_c}"
             )
-    return sol
-
-
-def _dump_on_error(config: EngineConfig, spec, sol, key) -> None:
-    if not config.debug_dump:
-        return
-    from pathlib import Path
-
-    tag = "_".join(str(part) for part in key)
-    path = Path(config.debug_dump) / f"subproblem_{tag}.txt"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    dump_subproblem(spec, sol, path)
+    return None
 
 
 def _stage_solve(
@@ -431,12 +424,11 @@ def iterate(state: SddpState, k: int) -> IterationStats:
     t0 = time.perf_counter()
     problem = state.problem
     total_cost = 0.0
-    added = 0
     last_traj: Trajectory | None = None
     for _ in range(state.config.paths_per_iteration):
         path = sample_path(problem, state.rng)
         traj = forward_pass(state, path, k)
-        added += backward_pass(state, traj, k)
+        backward_pass(state, traj, k)
         total_cost += traj.total_cost
         last_traj = traj
     lb = lower_bound(state)
@@ -449,10 +441,8 @@ def iterate(state: SddpState, k: int) -> IterationStats:
         sampled_cost=total_cost / state.config.paths_per_iteration,
         rho=rho,
         wall_ms=(time.perf_counter() - t0) * 1e3,
-        cuts_added=added,
     )
     state.report.append(stats)
-    state.next_k = k + 1
     return stats
 
 

@@ -410,8 +410,6 @@ def problem_to_obj(problem: MultistageProblem) -> dict:
         proc_obj["initial"] = proc.initial.tolist()
         proc_obj["transitions"] = [matrix_to_obj(P) for P in proc.transitions]
     return {
-        "format": INSTANCE_FORMAT,
-        "version": INSTANCE_VERSION,
         "T": problem.T,
         "resource_dims": list(problem.resource_dims),
         "stage0": _realization_to_obj(problem.stage0),
@@ -420,14 +418,6 @@ def problem_to_obj(problem: MultistageProblem) -> dict:
 
 
 def problem_from_obj(obj: dict) -> MultistageProblem:
-    if obj.get("format") != INSTANCE_FORMAT:
-        raise FormatVersionError(
-            f"not an instance file (format field: {obj.get('format')!r})"
-        )
-    if obj.get("version") != INSTANCE_VERSION:
-        raise FormatVersionError(
-            f"unsupported instance version {obj.get('version')!r}"
-        )
     proc_obj = obj["process"]
     kind = ProcessKind(proc_obj["kind"])
     outcomes = tuple(
@@ -463,21 +453,38 @@ def canonical_json(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def write_json(path, fmt: str, version: int, body: dict) -> None:
+    """Write ``body`` under a ``format``/``version`` header, canonically."""
+    Path(path).write_text(canonical_json({"format": fmt, "version": version, **body}))
+
+
+def read_json(path, fmt: str, version: int, what: str, from_obj):
+    """``from_obj(body)`` of a :func:`write_json` file, ``what`` naming its
+    kind in errors: a wrong header raises :class:`FormatVersionError`, and
+    bad JSON, a non-object or a ``KeyError``, ``IndexError``, ``TypeError``
+    or ``ValueError`` from ``from_obj`` raises :class:`MalformedFileError`."""
+    try:
+        body = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise MalformedFileError(f"cannot parse {what} file {path}: {exc}") from exc
+    if not isinstance(body, dict):
+        raise MalformedFileError(f"{what} file {path} is not a JSON object")
+    found = body.pop("format", None), body.pop("version", None)
+    if found != (fmt, version):
+        raise FormatVersionError(
+            f"{what} file {path} has header {found!r}, expected {(fmt, version)!r}"
+        )
+    try:
+        return from_obj(body)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise MalformedFileError(f"{what} file {path} is malformed: {exc}") from exc
+
+
 def save_instance(problem: MultistageProblem, path) -> None:
-    Path(path).write_text(canonical_json(problem_to_obj(problem)))
+    write_json(path, INSTANCE_FORMAT, INSTANCE_VERSION, problem_to_obj(problem))
 
 
 def load_instance(path) -> MultistageProblem:
-    text = Path(path).read_text()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedFileError(f"cannot parse instance file {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise MalformedFileError(f"instance file {path} is not a JSON object")
-    try:
-        return problem_from_obj(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, FormatVersionError):
-            raise
-        raise MalformedFileError(f"instance file {path} is malformed: {exc}") from exc
+    return read_json(
+        path, INSTANCE_FORMAT, INSTANCE_VERSION, "instance", problem_from_obj
+    )

@@ -11,19 +11,17 @@ period length at build time.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatVersionError, MalformedFileError
 from .model import (
     MultistageProblem,
     ProcessKind,
     StageRealization,
     UncertaintyProcess,
-    canonical_json,
+    read_json,
+    write_json,
 )
 
 PARAMS_FORMAT = "storage-params"
@@ -90,39 +88,33 @@ class StorageNetworkParams:
             )
         return out
 
+    def check(self) -> None:
+        """Raise ``ValueError`` naming every violation, if there is one."""
+        bad = self.violations()
+        if bad:
+            raise ValueError("invalid storage params: " + "; ".join(bad))
+
     def to_obj(self) -> dict:
-        obj = {"format": PARAMS_FORMAT, "version": PARAMS_VERSION}
-        for f in fields(self):
-            obj[f.name] = getattr(self, f.name)
-        return obj
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_obj(cls, obj: dict) -> "StorageNetworkParams":
-        if obj.get("format") != PARAMS_FORMAT:
-            raise FormatVersionError(
-                f"not a storage params file (format field: {obj.get('format')!r})"
-            )
-        if obj.get("version") != PARAMS_VERSION:
-            raise FormatVersionError(
-                f"unsupported params version {obj.get('version')!r}"
-            )
-        known = {f.name for f in fields(cls)}
-        extra = set(obj) - known - {"format", "version"}
-        if extra:
-            raise MalformedFileError(f"unknown params fields: {sorted(extra)}")
-        kwargs = {k: v for k, v in obj.items() if k in known}
-        return cls(**kwargs)
+        params = cls(**obj)
+        for f in fields(cls):  # f.type is the annotation as text
+            allowed = ("int", "float") if f.type == "float" else (f.type,)
+            if type(getattr(params, f.name)).__name__ not in allowed:
+                raise ValueError(f"{f.name} must be of type {f.type}")
+        params.check()
+        return params
 
     def save(self, path) -> None:
-        Path(path).write_text(canonical_json(self.to_obj()))
+        write_json(path, PARAMS_FORMAT, PARAMS_VERSION, self.to_obj())
 
 
 def load_params(path) -> StorageNetworkParams:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise MalformedFileError(f"cannot parse params file {path}: {exc}") from exc
-    return StorageNetworkParams.from_obj(obj)
+    return read_json(
+        path, PARAMS_FORMAT, PARAMS_VERSION, "params", StorageNetworkParams.from_obj
+    )
 
 
 @dataclass
@@ -373,9 +365,7 @@ def generate_storage_instance(
     params: StorageNetworkParams, rng: np.random.Generator
 ) -> MultistageProblem:
     """Emit a standard-form multistage instance of the storage benchmark."""
-    bad = params.violations()
-    if bad:
-        raise ValueError("invalid storage params: " + "; ".join(bad))
+    params.check()
     p = params
     net = _build_network(params, rng)
     ns = p.n_storage

@@ -1,5 +1,5 @@
-"""Stage subproblem contract: specs, solutions, the bundled solver and the
-post-solve residual verification.
+"""Stage subproblem contract: specs, solutions, the bundled solver, the
+post-solve residual verification and the replay file of a failed solve.
 
 The bundled solver pairs the revised simplex (LPs, basic duals) with the
 primal active-set method (regularized QPs).  Any replacement only has to
@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Protocol
 
 import numpy as np
 
 from . import qp, simplex
+from .model import read_json, write_json
+
+SUBPROBLEM_FORMAT = "sddpkit-subproblem"
+SUBPROBLEM_VERSION = 1
 
 
 class SolveStatus(enum.Enum):
@@ -192,32 +195,53 @@ def kkt_residuals(sol: SubproblemSolution, spec: SubproblemSpec) -> dict[str, fl
     }
 
 
-def dump_subproblem(spec: SubproblemSpec, sol: SubproblemSolution | None, path) -> None:
-    """Write a human-readable spec/solution pair for failure triage."""
-    lines = [
-        "subproblem dump",
-        f"rows: {spec.n_rows}",
-        f"cols: {spec.n_cols}",
-        f"c: {spec.c.tolist()}",
-        f"rhs: {spec.rhs.tolist()}",
-        "A:",
-    ]
-    for row in spec.A:
-        lines.append("  " + " ".join(repr(v) for v in row.tolist()))
+def _triplets(M: np.ndarray) -> dict:
+    rows, cols = np.nonzero(M)
+    return {"rows": rows.tolist(), "cols": cols.tolist(), "vals": M[rows, cols].tolist()}
+
+
+def _from_triplets(obj: dict, m: int, n: int) -> np.ndarray:
+    M = np.zeros((m, n))
+    M[obj["rows"], obj["cols"]] = obj["vals"]
+    return M
+
+
+def save_subproblem(
+    spec: SubproblemSpec, path, start_basis=None, context: dict | None = None
+) -> None:
+    """Write a spec and the start basis it was solved from as a replay file;
+    ``context`` is free JSON (the engine records the solve key and error).
+    ``A`` and ``H`` are stored as coordinate triplets of their nonzeros."""
+    body = {
+        "m": spec.n_rows,
+        "n": spec.n_cols,
+        "A": _triplets(spec.A),
+        "rhs": spec.rhs.tolist(),
+        "c": spec.c.tolist(),
+        "context": context or {},
+    }
     if spec.quad is not None:
         rho, H = spec.quad
-        lines.append(f"rho: {rho!r}")
-        lines.append("H:")
-        for row in H:
-            lines.append("  " + " ".join(repr(v) for v in row.tolist()))
-    if sol is None:
-        lines.append("solution: none")
-    else:
-        lines.append(f"status: {sol.status.value}")
-        if sol.y is not None:
-            lines.append(f"y: {sol.y.tolist()}")
-            lines.append(f"objective: {sol.objective!r}")
-            lines.append(f"duals: {sol.duals.tolist()}")
-            lines.append(f"reduced_costs: {sol.reduced_costs.tolist()}")
-            lines.append(f"is_basic_dual: {sol.is_basic_dual}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        body["quad"] = {"rho": rho, "H": _triplets(H)}
+    if start_basis is not None:
+        body["start_basis"] = np.asarray(start_basis).tolist()
+    write_json(path, SUBPROBLEM_FORMAT, SUBPROBLEM_VERSION, body)
+
+
+def _subproblem_from_obj(obj: dict):
+    n, quad, start = obj["n"], obj.get("quad"), obj.get("start_basis")
+    spec = SubproblemSpec(
+        c=obj["c"],
+        A=_from_triplets(obj["A"], obj["m"], n),
+        rhs=obj["rhs"],
+        quad=None if quad is None else (quad["rho"], _from_triplets(quad["H"], n, n)),
+    )
+    return spec, None if start is None else np.array(start), obj["context"]
+
+
+def load_subproblem(path) -> tuple[SubproblemSpec, np.ndarray | None, dict]:
+    """Read a file of :func:`save_subproblem`; replay it with
+    ``BundledSolver().solve(spec, start_basis)``."""
+    return read_json(
+        path, SUBPROBLEM_FORMAT, SUBPROBLEM_VERSION, "subproblem", _subproblem_from_obj
+    )

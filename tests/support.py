@@ -7,7 +7,6 @@ sides of every comparison stay independent.
 from __future__ import annotations
 
 import itertools
-import json
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +17,9 @@ from sddpkit.model import (
     StageRealization,
     UncertaintyProcess,
 )
+
+# Captured solver inputs, in the replay format of ``sddpkit.subproblem``.
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def newsvendor() -> MultistageProblem:
@@ -222,18 +224,3 @@ def resource_grid(box_hi: np.ndarray, points_per_dim: int) -> np.ndarray:
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
-
-def load_fixture(name: str):
-    """Load a captured solver input from ``tests/fixtures/<name>``.
-
-    The file holds ``m``, ``n``, ``A`` as coordinate triplets, ``b`` and
-    ``c``; a QP adds the diagonal of ``G`` as ``g_diag``, and a warm solve
-    its start basis as ``warm_basis``.  Returns ``(A, b, c, G, warm_basis)``
-    with ``None`` for the parts the file does not hold.
-    """
-    data = json.loads((Path(__file__).parent / "fixtures" / name).read_text())
-    A = np.zeros((data["m"], data["n"]))
-    A[data["A"]["rows"], data["A"]["cols"]] = data["A"]["vals"]
-    G = np.diag(data["g_diag"]) if "g_diag" in data else None
-    warm = np.array(data["warm_basis"]) if "warm_basis" in data else None
-    return A, np.array(data["b"]), np.array(data["c"]), G, warm

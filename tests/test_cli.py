@@ -11,7 +11,7 @@ from sddpkit.cli import cli_main
 from sddpkit.errors import NumericalBreakdown
 from sddpkit.model import save_instance
 from sddpkit.storage import StorageNetworkParams
-from sddpkit.subproblem import BundledSolver
+from sddpkit.subproblem import BundledSolver, SolveStatus, load_subproblem
 from support import newsvendor, random_recourse_instance
 
 
@@ -178,6 +178,7 @@ def test_evaluate_breakdown_writes_debug_dump(
     def breaks(self, spec, start_basis=None):
         raise NumericalBreakdown("basis factorization failed")
 
+    solve = BundledSolver.solve
     monkeypatch.setattr(BundledSolver, "solve", breaks)
     dump_dir = tmp_path / "dumps"
     code = cli_main(
@@ -185,9 +186,68 @@ def test_evaluate_breakdown_writes_debug_dump(
          "--debug-dump", str(dump_dir)]
     )
     assert code == 1
-    assert "stage 0 outcome -1: basis factorization failed" in capsys.readouterr().err
-    dump = (dump_dir / "subproblem_policy_0_-1.txt").read_text()
-    assert dump.startswith("subproblem dump")
+    message = "stage 0 outcome -1: basis factorization failed"
+    assert message in capsys.readouterr().err
+    spec, start, context = load_subproblem(dump_dir / "subproblem_policy_0_-1.json")
+    assert context == {"key": ["policy", 0, -1], "error": message}
+    assert solve(BundledSolver(), spec, start).status is SolveStatus.OPTIMAL
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",
+        '{"n_storage": "x"}',
+        '{"n_storage": 2.5}',
+        '{"markov": "no"}',
+        '{"p_stay": 2.0}',
+        '{"bogus": 1}',
+    ],
+    ids=["not-an-object", "string-count", "float-count", "string-flag",
+         "p-stay-above-one", "unknown-field"],
+)
+def test_bad_params_file_exits_one(tmp_path, capsys, text):
+    pfile = tmp_path / "params.json"
+    StorageNetworkParams(n_storage=2, T=2, n_regimes=2).save(pfile)
+    if text.startswith("{"):
+        text = json.dumps({**json.loads(pfile.read_text()), **json.loads(text)})
+    pfile.write_text(text)
+    out = tmp_path / "inst.json"
+    assert cli_main(["generate", "--params", str(pfile), "--out", str(out)]) == 1
+    assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_bad_params_flag_exits_one(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    assert cli_main(["generate", "--out", str(out), "--p-stay", "2"]) == 1
+    assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [("t", -1), ("t", 99), ("info", 7)])
+def test_cut_outside_the_pool_exits_one(tmp_path, capsys, field, value):
+    inst = tmp_path / "inst.json"
+    cuts = tmp_path / "cuts.json"
+    assert cli_main(
+        ["generate", "--out", str(inst), "--n-storage", "2", "--t-periods", "3",
+         "--seed", "1"]
+    ) == 0
+    assert cli_main(
+        ["solve", str(inst), "--iters", "2", "--ub-every", "0", "--out-cuts",
+         str(cuts)]
+    ) == 0
+    obj = json.loads(cuts.read_text())
+    obj["cuts"][0][field] = value
+    cuts.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli_main(["evaluate", str(inst), str(cuts), "--samples", "3"]) == 1
+    assert_one_error_line(capsys)
 
 
 def test_cut_file_independent_of_inherited_blas_threads(tmp_path):

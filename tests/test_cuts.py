@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,6 +250,23 @@ def test_wrong_dimension_pool_fails_on_embed(tmp_path):
     loaded = load_cuts(path)
     with pytest.raises(DimensionMismatch):
         loaded.embed(0, 0, newsvendor_stage0_spec(), np.array([[1.0, 0.0]]))
+
+
+def test_cut_outside_the_pool_rejected(tmp_path):
+    # A cut can only go to a family the pool has; a cut file naming stage -1
+    # once landed on the last stage without a word.
+    pool = CutPool(resource_dims=(1, 1), n_info=(1, 2))
+    pool.add_cut(1, 1, cut(1.0, 1.0))
+    path = tmp_path / "cuts.json"
+    pool.save(path)
+    obj = json.loads(path.read_text())
+    for t, info in ((-1, 0), (2, 0), (0, 1), (1, 2), (1, -1)):
+        with pytest.raises(DimensionMismatch):
+            pool.add_cut(t, info, cut(1.0, 1.0))
+        obj["cuts"][0].update(t=t, info=info)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DimensionMismatch):
+            load_cuts(path)
 
 
 def test_for_problem_layout_and_info_index():

@@ -25,7 +25,7 @@ from sddpkit.model import (
     sample_path,
 )
 from sddpkit.oracle import build_and_solve_extensive_form
-from sddpkit.subproblem import BundledSolver
+from sddpkit.subproblem import BundledSolver, SolveStatus, load_subproblem
 from support import newsvendor, random_recourse_instance
 
 
@@ -178,6 +178,14 @@ def test_trajectory_resource_consistency():
         assert np.abs(real.B @ traj.x[t] - traj.resource[t]).max(initial=0.0) <= 1e-10
 
 
+def assert_replays(path, key, error):
+    """The dump at ``path`` names the solve key and the error, and the
+    bundled solver solves it from the recorded start basis."""
+    spec, start, context = load_subproblem(path)
+    assert context == {"key": key, "error": error}
+    assert BundledSolver().solve(spec, start).status is SolveStatus.OPTIMAL
+
+
 class BreaksOnSolve(BundledSolver):
     """Raises a breakdown on the ``call``-th solve (counting from 1)."""
 
@@ -205,9 +213,7 @@ def test_numerical_breakdown_names_stage_and_outcome_and_dumps(tmp_path):
         forward_pass(state, ScenarioPath((1,), 0.5), 0)
     assert str(info.value) == "stage 1 outcome 1: basis factorization failed"
     assert isinstance(info.value.__cause__, NumericalBreakdown)
-    dump = (tmp_path / "subproblem_f_1_1.txt").read_text()
-    assert dump.startswith("subproblem dump")
-    assert "solution: none" in dump
+    assert_replays(tmp_path / "subproblem_f_1_1.json", ["f", 1, 1], str(info.value))
 
 
 def test_breakdown_in_upper_bound_names_stage_and_outcome():
@@ -244,9 +250,9 @@ def test_breakdown_in_run_upper_bound_dumps(tmp_path):
     with pytest.raises(NumericalBreakdown) as info:
         run(newsvendor(), config)
     assert str(info.value) == "stage 0 outcome -1: basis factorization failed"
-    dump = (tmp_path / "subproblem_policy_0_-1.txt").read_text()
-    assert dump.startswith("subproblem dump")
-    assert "solution: none" in dump
+    assert_replays(
+        tmp_path / "subproblem_policy_0_-1.json", ["policy", 0, -1], str(info.value)
+    )
 
 
 class RecordsStarts(BundledSolver):

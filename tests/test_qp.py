@@ -3,7 +3,8 @@ import pytest
 
 from sddpkit.qp import solve_standard_qp
 from sddpkit.simplex import solve_standard_lp
-from support import load_fixture, random_bounded_lp
+from sddpkit.subproblem import load_subproblem
+from support import FIXTURES, random_bounded_lp
 
 
 def quad_obj(c, G, x):
@@ -110,7 +111,8 @@ def test_degenerate_block_without_superbasic_pivot():
     # pivot in its row (8.5e-8) is below the safe-pivot threshold.  The
     # working set must still change, from the captured warm basis and from
     # a cold start alike.
-    A, b, c, G, warm_basis = load_fixture("qp_degenerate_block.json")
+    spec, warm_basis, _ = load_subproblem(FIXTURES / "qp_degenerate_block.json")
+    A, b, c, G = spec.A, spec.rhs, spec.c, spec.quad[0] * spec.quad[1]
     for start in (warm_basis, None):
         assert_kkt(solve_standard_qp(A, b, c, G, start_basis=start), A, b, c, G)
 

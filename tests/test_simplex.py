@@ -4,7 +4,8 @@ import pytest
 from sddpkit import simplex
 from sddpkit.qp import solve_standard_qp
 from sddpkit.simplex import solve_standard_lp
-from support import load_fixture, random_bounded_lp, vertex_enumeration_optimum
+from sddpkit.subproblem import load_subproblem
+from support import FIXTURES, random_bounded_lp, vertex_enumeration_optimum
 
 
 def test_one_simplex_vertex():
@@ -165,8 +166,9 @@ def test_singular_pivot_fixture_solves_cold():
     # Captured storage stage LP (70 x 95) on which the primal ratio test
     # once took a pivot the basis update refused; the forced refactorization
     # then met a singular basis.  The optimum is HiGHS's (the fixture's
-    # ``highs_objective``).
-    A, b, c, _, _ = load_fixture("lp_singular_pivot.json")
+    # context's ``highs_objective``).
+    spec, _, _ = load_subproblem(FIXTURES / "lp_singular_pivot.json")
+    A, b, c = spec.A, spec.rhs, spec.c
     res = solve_standard_lp(A, b, c)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(3602.1989171162295, rel=1e-9, abs=0.0)

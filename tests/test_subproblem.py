@@ -1,17 +1,22 @@
+import json
+
 import numpy as np
 import pytest
 
+from sddpkit.errors import FormatVersionError, MalformedFileError
 from sddpkit.subproblem import (
     BundledSolver,
     SolveStatus,
     SubproblemSpec,
     complementarity_gap,
-    dump_subproblem,
     kkt_residuals,
+    load_subproblem,
+    save_subproblem,
     solve_lp,
     solve_qp,
     verify_residuals,
 )
+from support import FIXTURES
 
 
 def simple_spec():
@@ -139,12 +144,57 @@ def test_bundled_solver_dispatch():
 
 
 def test_dump_writes_readable_file(tmp_path):
-    spec = simple_spec()
-    sol = solve_lp(spec)
-    path = tmp_path / "dump.txt"
-    dump_subproblem(spec, sol, path)
-    text = path.read_text()
-    assert "rows: 1" in text
-    assert "status: optimal" in text
-    dump_subproblem(spec, None, tmp_path / "nosol.txt")
-    assert "solution: none" in (tmp_path / "nosol.txt").read_text()
+    # A dump loads back to the same arrays, start basis and context, and
+    # replays to the same solution.
+    quad_spec = SubproblemSpec(
+        c=np.array([-1.0, 0.0]),
+        A=np.array([[1.0, 1.0]]),
+        rhs=np.array([2.0]),
+        quad=(0.5, np.diag([1.0, 0.0])),
+    )
+    path = tmp_path / "dump.json"
+    for spec in (simple_spec(), quad_spec):
+        sol = BundledSolver().solve(spec)
+        save_subproblem(spec, path, sol.basis, {"key": ["f", 1, 0]})
+        loaded, start, context = load_subproblem(path)
+        for name in ("A", "rhs", "c"):
+            assert np.array_equal(getattr(loaded, name), getattr(spec, name))
+        assert (loaded.quad is None) == (spec.quad is None)
+        if spec.quad is not None:
+            assert loaded.quad[0] == spec.quad[0]
+            assert np.array_equal(loaded.quad[1], spec.quad[1])
+        assert np.array_equal(start, sol.basis)
+        assert context == {"key": ["f", 1, 0]}
+        replay = BundledSolver().solve(loaded, start)
+        assert replay.status is SolveStatus.OPTIMAL
+        assert np.array_equal(replay.y, sol.y)
+    save_subproblem(simple_spec(), path)
+    _, start, context = load_subproblem(path)
+    assert start is None
+    assert context == {}
+
+
+def test_load_subproblem_rejects_bad_files(tmp_path):
+    path = tmp_path / "dump.json"
+    save_subproblem(simple_spec(), path)
+    obj = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(obj, format="mslp-cuts")))
+    with pytest.raises(FormatVersionError):
+        load_subproblem(path)
+    obj["A"]["rows"] = [5, 0]  # outside the m = 1 rows
+    path.write_text(json.dumps(obj))
+    with pytest.raises(MalformedFileError):
+        load_subproblem(path)
+    path.write_text("[1, 2]")
+    with pytest.raises(MalformedFileError):
+        load_subproblem(path)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(FIXTURES.glob("*.json")), ids=lambda path: path.name
+)
+def test_fixture_is_a_replay_file(path):
+    # Every captured solver input is a replay file that says what it is.
+    spec, start, context = load_subproblem(path)
+    assert context["description"]
+    assert start is None or start.shape == (spec.n_rows,)
