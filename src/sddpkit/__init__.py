@@ -31,6 +31,7 @@ from .engine import (
     run,
 )
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     EngineError,
     FormatVersionError,
@@ -75,6 +76,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BundledSolver",
+    "ConfigError",
     "Cut",
     "CutPool",
     "DimensionMismatch",

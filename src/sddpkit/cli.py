@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import statistics
 import sys
 from pathlib import Path
@@ -12,7 +11,7 @@ import numpy as np
 from . import engine, oracle, storage
 from .cuts import load_cuts
 from .errors import SddpkitError
-from .model import load_instance, save_instance, validate
+from .model import load_instance, load_json, save_instance, validate
 
 
 def _add_workers_flag(p: argparse.ArgumentParser) -> None:
@@ -72,7 +71,11 @@ def _config_from_args(args, iterations=None, regularized=None) -> engine.EngineC
             raise SddpkitError(
                 f"--q-scale must be 'identity' or 'diag:<file>', got {args.q_scale!r}"
             )
-        q_scale = json.loads(Path(args.q_scale[5:]).read_text())
+        q_scale = load_json(
+            args.q_scale[5:],
+            "Q scale",
+            lambda obj: [np.asarray(q, dtype=float) for q in obj],
+        )
     return engine.EngineConfig(
         iterations=iterations if iterations is not None else args.iters,
         seed=args.seed,

@@ -18,6 +18,7 @@ import numpy as np
 
 from .cuts import Cut, CutPool
 from .errors import (
+    ConfigError,
     EngineError,
     InfeasibleSubproblemError,
     NumericalBreakdown,
@@ -55,9 +56,9 @@ class RegularizationSchedule:
 
     def __post_init__(self):
         if not self.rho0 > 0.0:
-            raise ValueError("rho0 must be positive")
+            raise ConfigError("rho0 must be positive")
         if not 0.0 < self.decay < 1.0:
-            raise ValueError("decay must lie in (0, 1)")
+            raise ConfigError("decay must lie in (0, 1)")
 
     def value(self, k: int) -> float:
         return self.rho0 * self.decay**k
@@ -87,11 +88,11 @@ class EngineConfig:
 
     def __post_init__(self):
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise ConfigError("iterations must be >= 1")
         if self.ub_samples < 1:
-            raise ValueError("ub_samples must be >= 1")
+            raise ConfigError("ub_samples must be >= 1")
         if self.paths_per_iteration < 1:
-            raise ValueError("paths_per_iteration must be >= 1")
+            raise ConfigError("paths_per_iteration must be >= 1")
 
 
 @dataclass
@@ -204,6 +205,10 @@ def _resolve_markov(problem: MultistageProblem, config: EngineConfig) -> bool:
 
 
 def _resolve_q(problem: MultistageProblem, q_scale) -> list[np.ndarray]:
+    if q_scale is not None and len(q_scale) != problem.T:
+        raise EngineError(
+            f"Q scale has {len(q_scale)} stages, expected {problem.T}"
+        )
     mats = []
     for t in range(problem.T):
         r = problem.resource_dims[t]
@@ -245,11 +250,16 @@ def _solve_spec(
     t: int,
     outcome: int,
     start: np.ndarray | None = None,
+    iteration: int | None = None,
 ) -> SubproblemSolution:
     """The engine's one call into the solver, with its hard-error policy:
-    every failure names the stage and outcome and, with ``debug_dump`` set,
-    writes the spec and ``start`` to ``subproblem_<key>.json`` for replay."""
+    every failure names the stage and outcome (and the training iteration,
+    when given) and, with ``debug_dump`` set, writes the spec and ``start``
+    to ``subproblem_<key>.json`` for replay.  The key is also the warm-start
+    key, so the iteration goes into the dump's context, not its name."""
     where = f"stage {t} outcome {outcome}"
+    if iteration is not None:
+        where = f"iteration {iteration} {where}"
     cause = None
     try:
         sol = solver.solve(spec, start_basis=start)
@@ -263,7 +273,10 @@ def _solve_spec(
         tag = "_".join(str(part) for part in key)
         path = Path(config.debug_dump) / f"subproblem_{tag}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
-        save_subproblem(spec, path, start, {"key": list(key), "error": str(error)})
+        context = {"key": list(key), "error": str(error)}
+        if iteration is not None:
+            context["iteration"] = iteration
+        save_subproblem(spec, path, start, context)
     raise error from cause
 
 
@@ -295,9 +308,11 @@ def _stage_solve(
     use_vfa: bool,
     rho: float,
     key,
+    k: int,
 ) -> tuple[SubproblemSolution, int, float]:
-    """Build, (optionally) regularize and solve the stage problem, warm
-    started from the basis last stored under ``key``.
+    """Build, (optionally) regularize and solve the stage problem.  An LP
+    is warm started from the basis last stored under ``key`` and stores its
+    own there; a regularized QP starts from its cut family's last LP basis.
 
     Returns (solution, stage variable count, objective constant omitted by
     the solver).
@@ -308,6 +323,7 @@ def _stage_solve(
         problem, pool, t, state.pool.info_index(t, outcome), outcome, R_prev
     )
     const = 0.0
+    start_key = key
     if rho > 0.0 and t < problem.T:
         real = problem.realization(t, outcome)
         q = state.q_mats[t]
@@ -322,15 +338,21 @@ def _stage_solve(
         c_adj = spec.c - rho * (B_pad.T @ (q @ incumbent))
         spec = SubproblemSpec(c=c_adj, A=spec.A, rhs=spec.rhs, quad=(rho, H))
         const = 0.5 * rho * float(incumbent @ (q @ incumbent))
-    start = state.warm.get(key)
+        # The QP starts from the last LP of its cut family: the previous
+        # backward pass (the lower bound at t = 0) solved it with the same
+        # cut rows at an anchor the penalty keeps the state near, so its
+        # basis is often primal feasible here and the QP skips its LP.
+        start_key = ("b", t, outcome) if t >= 1 else ("lb",)
+    start = state.warm.get(start_key)
     if start is not None and start.shape[0] < spec.n_rows:
         extra = spec.n_rows - start.shape[0]
         new_slacks = np.arange(spec.n_cols - extra, spec.n_cols)
         start = np.concatenate([start, new_slacks])
     if start is not None and start.shape[0] != spec.n_rows:
         start = None
-    sol = _solve_spec(state.solver, state.config, spec, key, t, outcome, start)
-    _keep_basis(state.warm, key, sol, spec)
+    sol = _solve_spec(state.solver, state.config, spec, key, t, outcome, start, k)
+    if spec.quad is None:
+        _keep_basis(state.warm, key, sol, spec)
     return sol, n_stage, const
 
 
@@ -363,6 +385,7 @@ def forward_pass(state: SddpState, path: ScenarioPath, k: int) -> Trajectory:
             use_vfa=use_vfa,
             rho=rho,
             key=("f", t, outcome),
+            k=k,
         )
         real = problem.realization(t, outcome)
         x = sol.y[:n_stage]
@@ -396,6 +419,7 @@ def backward_pass(state: SddpState, trajectory: Trajectory, k: int) -> int:
                 use_vfa=t < problem.T,
                 rho=0.0,
                 key=("b", t, j),
+                k=k,
             )
             values[j] = sol.objective
             slopes[j] = -sol.duals[:r_prev]
@@ -412,9 +436,12 @@ def backward_pass(state: SddpState, trajectory: Trajectory, k: int) -> int:
 
 
 def lower_bound(state: SddpState) -> float:
-    """First-stage optimum under the current stage-0 approximation."""
+    """First-stage optimum under the current stage-0 approximation.  It
+    ends the iteration under way, whose index is the count of iterations
+    already reported."""
+    k = len(state.report.iterations)
     sol, _, _ = _stage_solve(
-        state, 0, -1, None, use_vfa=True, rho=0.0, key=("lb",)
+        state, 0, -1, None, use_vfa=True, rho=0.0, key=("lb",), k=k
     )
     return sol.objective
 
@@ -498,6 +525,8 @@ def estimate_upper_bound(
     """Monte-Carlo cost of the cut policy (pure argmin of cost + cuts, no
     regularization): sample mean and standard error.  ``config`` supplies
     the solver, the residual tolerances and the debug-dump directory."""
+    if n_samples < 1:
+        raise ConfigError("n_samples must be >= 1")
     if not _pool_covers_all_stages(pool, problem):
         raise EngineError(
             "upper-bound estimation requires at least one cut at every "

@@ -30,6 +30,11 @@ class NumericalBreakdown(SddpkitError):
     iteration limit was reached."""
 
 
+class ConfigError(SddpkitError, ValueError):
+    """An engine setting or argument is out of range.  It is also a
+    ``ValueError``, as argument errors are in Python."""
+
+
 class EngineError(SddpkitError):
     """Hard failure inside the SDDP iteration loop."""
 

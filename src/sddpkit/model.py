@@ -458,26 +458,37 @@ def write_json(path, fmt: str, version: int, body: dict) -> None:
     Path(path).write_text(canonical_json({"format": fmt, "version": version, **body}))
 
 
-def read_json(path, fmt: str, version: int, what: str, from_obj):
-    """``from_obj(body)`` of a :func:`write_json` file, ``what`` naming its
-    kind in errors: a wrong header raises :class:`FormatVersionError`, and
-    bad JSON, a non-object or a ``KeyError``, ``IndexError``, ``TypeError``
-    or ``ValueError`` from ``from_obj`` raises :class:`MalformedFileError`."""
+def load_json(path, what: str, from_obj):
+    """``from_obj(value)`` of the JSON value in ``path``, ``what`` naming
+    its kind in errors: bad JSON, or a ``KeyError``, ``IndexError``,
+    ``TypeError`` or ``ValueError`` from ``from_obj``, raises
+    :class:`MalformedFileError` naming the file."""
     try:
-        body = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise MalformedFileError(f"cannot parse {what} file {path}: {exc}") from exc
-    if not isinstance(body, dict):
-        raise MalformedFileError(f"{what} file {path} is not a JSON object")
-    found = body.pop("format", None), body.pop("version", None)
-    if found != (fmt, version):
-        raise FormatVersionError(
-            f"{what} file {path} has header {found!r}, expected {(fmt, version)!r}"
-        )
     try:
-        return from_obj(body)
+        return from_obj(obj)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise MalformedFileError(f"{what} file {path} is malformed: {exc}") from exc
+
+
+def read_json(path, fmt: str, version: int, what: str, from_obj):
+    """``from_obj(body)`` of a :func:`write_json` file, read through
+    :func:`load_json`: a wrong header raises :class:`FormatVersionError`,
+    and a non-object :class:`MalformedFileError`."""
+
+    def from_file(body):
+        if not isinstance(body, dict):
+            raise MalformedFileError(f"{what} file {path} is not a JSON object")
+        found = body.pop("format", None), body.pop("version", None)
+        if found != (fmt, version):
+            raise FormatVersionError(
+                f"{what} file {path} has header {found!r}, expected {(fmt, version)!r}"
+            )
+        return from_obj(body)
+
+    return load_json(path, what, from_file)
 
 
 def save_instance(problem: MultistageProblem, path) -> None:

@@ -2,15 +2,18 @@
 
     min c . y + 1/2 y' G y   s.t.   A y = b,   y >= 0,    G PSD
 
-Reduced-space scheme on the simplex's basis kernel, warm-started from a
-vertex of the feasible region (the optimum of the LP relaxation when it
-exists): the working set is the complement of basic + superbasic variables,
-search directions live in the null space spanned by the superbasic columns,
-and the reduced Newton system is solved by least squares so flat
-(zero-curvature) directions fall back to simplex-like ratio steps.  At the
-optimal working set one last reduced Newton step places the superbasics and
-the kernel's ``_polish`` recomputes the basics and the multipliers, as at
-the end of an LP solve.  All choices are index-deterministic.
+Reduced-space scheme on the simplex's basis kernel, started from a vertex
+of the feasible region: the start basis itself when it is primal feasible
+at this right-hand side (the active set needs a feasible vertex, not the LP
+optimum), and otherwise the vertex of the LP relaxation, solved warm from
+that basis.  The working set is the complement of basic + superbasic
+variables, search directions live in the null space spanned by the
+superbasic columns, and the reduced Newton system is solved by least
+squares so flat (zero-curvature) directions fall back to simplex-like ratio
+steps.  At the optimal working set one last reduced Newton step places the
+superbasics and the kernel's ``_polish`` recomputes the basics and the
+multipliers, as at the end of an LP solve.  All choices are
+index-deterministic.
 """
 from __future__ import annotations
 
@@ -19,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalBreakdown
-from .simplex import _Basis, _oriented_rows, _polish, solve_standard_lp
+from .simplex import (
+    _Basis,
+    _oriented_rows,
+    _polish,
+    _warm_basis,
+    solve_standard_lp,
+)
 
 MAX_STALL = 200
 
@@ -43,9 +52,11 @@ def solve_standard_qp(
     start_basis: np.ndarray | None = None,
 ) -> QpResult:
     """Warm-startable convex QP solve on the simplex's basis kernel (its
-    explicit inverse, cadence and pivot rule); the final point and
-    multipliers come from one reduced Newton step and the kernel's
-    ``_polish``.  A numerical breakdown is retried once cold."""
+    explicit inverse, cadence and pivot rule).  A primal-feasible
+    ``start_basis`` is the starting vertex; any other start goes to the
+    starting LP.  The final point and multipliers come from one reduced
+    Newton step and the kernel's ``_polish``.  A numerical breakdown is
+    retried once cold."""
     try:
         return _solve_qp_once(A, b, c, G, start_basis)
     except NumericalBreakdown:
@@ -64,22 +75,19 @@ def _solve_qp_once(
     c = np.asarray(c, dtype=float)
     G = np.asarray(G, dtype=float)
     m, n = A.shape
-
-    lp = solve_standard_lp(A, b, c, start_basis=start_basis)
-    if lp.status == "infeasible":
-        return QpResult(status="infeasible")
-    if lp.status == "unbounded":
-        if lp.feasible_basis is None:
-            return QpResult(status="unbounded")
-        start_cols = lp.feasible_basis
-    else:
-        start_cols = lp.basis
-
     signs, ext, bw = _oriented_rows(A, b)
 
-    basis = _Basis(ext, start_cols)
+    basis, x_b, feasible = _warm_basis(ext, bw, start_basis, n) or (None, None, False)
+    if not feasible:
+        lp = solve_standard_lp(A, b, c, start_basis=start_basis)
+        if lp.status == "infeasible":
+            return QpResult(status="infeasible")
+        if lp.status == "unbounded" and lp.feasible_basis is None:
+            return QpResult(status="unbounded")
+        basis = _Basis(ext, lp.basis if lp.status == "optimal" else lp.feasible_basis)
+        x_b = np.maximum(basis.solve(bw), 0.0)
     y = np.zeros(n + m)
-    y[basis.cols] = np.maximum(basis.solve(bw), 0.0)
+    y[basis.cols] = x_b
     super_cols: list[int] = []
     allowed = np.zeros(n + m, dtype=bool)
     allowed[:n] = True

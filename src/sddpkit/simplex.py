@@ -253,6 +253,34 @@ def _crash_basis(ext: np.ndarray, bw: np.ndarray, n: int) -> np.ndarray:
     return cols
 
 
+def _warm_basis(ext: np.ndarray, bw: np.ndarray, start_basis, n: int):
+    """Factorize a warm start on the extended matrix of ``_oriented_rows``.
+
+    Returns ``(basis, x_b, feasible)``, with ``x_b`` the basic values at
+    ``bw`` (clipped at zero when ``feasible``, that is when none is below
+    -1e-9), or ``None`` when ``start_basis`` is absent or is not m distinct
+    original columns.  A singular start raises ``SingularBasis``.  The LP
+    and the QP both take their warm start through here.
+    """
+    if start_basis is None:
+        return None
+    m = bw.shape[0]
+    cols = np.asarray(start_basis, dtype=int)
+    if not (
+        cols.shape == (m,)
+        and len(np.unique(cols)) == m
+        and cols.min(initial=0) >= 0
+        and cols.max(initial=-1) < n
+    ):
+        return None
+    basis = _Basis(ext, cols)
+    x_b = basis.solve(bw)
+    feasible = x_b.min(initial=0.0) >= -1e-9
+    if feasible:
+        x_b[x_b < 0.0] = 0.0
+    return basis, x_b, feasible
+
+
 def _polish(basis: _Basis, rhs: np.ndarray, cost_basic: np.ndarray):
     """Recompute basic values and duals at the final basis with iterated
     refinement (effective up to condition numbers around 1e13)."""
@@ -325,40 +353,32 @@ def _solve_lp_once(
     allowed_cols[:n] = True
 
     basis = None
-    if start_basis is not None:
-        cols = np.asarray(start_basis, dtype=int)
-        if (
-            cols.shape == (m,)
-            and len(np.unique(cols)) == m
-            and cols.min() >= 0
-            and cols.max() < n
-        ):
-            try:
-                cand = _Basis(ext, cols)
+    try:
+        warm = _warm_basis(ext, bw, start_basis, n)
+        if warm is not None:
+            cand, x_b, feasible = warm
+            if feasible:
+                basis = cand
+            else:
+                # Primal infeasible warm basis: repair by dual simplex if
+                # the basis is still dual feasible (the usual case when
+                # only rhs entries or appended cut rows changed).
                 cost2 = np.concatenate([c, np.zeros(m)])
-                x_b = cand.solve(bw)
-                if x_b.min(initial=0.0) >= -1e-9:
-                    x_b[x_b < 0.0] = 0.0
-                    basis = cand
-                else:
-                    # Primal infeasible warm basis: repair by dual simplex
-                    # if the basis is still dual feasible (the usual case
-                    # when only rhs entries or appended cut rows changed).
-                    mu = cand.solve_transpose(cost2[cand.cols])
-                    reduced = cost2 - ext.T @ mu
-                    dual_ok = (
-                        reduced[allowed_cols].min(initial=0.0)
-                        >= -1e-7 * (1.0 + np.abs(c).max(initial=0.0))
+                mu = cand.solve_transpose(cost2[cand.cols])
+                reduced = cost2 - ext.T @ mu
+                dual_ok = (
+                    reduced[allowed_cols].min(initial=0.0)
+                    >= -1e-7 * (1.0 + np.abs(c).max(initial=0.0))
+                )
+                if dual_ok:
+                    status, x_b = _dual_iterate(
+                        ext, cost2, cand, x_b, allowed_cols, 20 * m + 200
                     )
-                    if dual_ok:
-                        status, x_b = _dual_iterate(
-                            ext, cost2, cand, x_b, allowed_cols, 20 * m + 200
-                        )
-                        if status == "feasible":
-                            x_b[x_b < 0.0] = 0.0
-                            basis = cand
-            except SingularBasis:
-                basis = None
+                    if status == "feasible":
+                        x_b[x_b < 0.0] = 0.0
+                        basis = cand
+    except SingularBasis:
+        basis = None
 
     if basis is None:
         try:

@@ -395,3 +395,52 @@ def test_infeasible_instance_reports_stage(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "stage 1" in err and "infeasible" in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--iters", "0"], "error: iterations must be >= 1"),
+        (["--decay", "1.5"], "error: decay must lie in (0, 1)"),
+    ],
+    ids=["zero-iterations", "decay-above-one"],
+)
+def test_engine_flag_out_of_range_exits_one(news_file, capsys, flags, message):
+    assert cli_main(["solve", str(news_file), "--ub-every", "0", *flags]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+def test_evaluate_zero_samples_exits_one(tmp_path, news_file, capsys):
+    cuts = tmp_path / "cuts.json"
+    cli_main(
+        ["solve", str(news_file), "--out-cuts", str(cuts), "--iters", "3",
+         "--ub-every", "0"]
+    )
+    capsys.readouterr()
+    assert cli_main(["evaluate", str(news_file), str(cuts), "--samples", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: n_samples must be >= 1"]
+    assert "nan" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("[1,", "cannot parse Q scale file"),
+        ('[["a"]]', "is malformed: could not convert string to float: 'a'"),
+        ("[[1.0], [1.0]]", "Q scale has 2 stages, expected 1"),
+    ],
+    ids=["truncated", "string-entry", "wrong-stage-count"],
+)
+def test_bad_q_scale_file_exits_one(tmp_path, news_file, capsys, text, reason):
+    qfile = tmp_path / "q.json"
+    qfile.write_text(text)
+    code = cli_main(
+        ["solve", str(news_file), "--regularized", "--iters", "2",
+         "--ub-every", "0", "--q-scale", f"diag:{qfile}"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and reason in err[0], err
+    if reason.startswith(("cannot", "is malformed")):
+        assert str(qfile) in err[0]

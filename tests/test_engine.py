@@ -25,6 +25,7 @@ from sddpkit.model import (
     sample_path,
 )
 from sddpkit.oracle import build_and_solve_extensive_form
+from sddpkit.storage import StorageNetworkParams, generate_storage_instance
 from sddpkit.subproblem import BundledSolver, SolveStatus, load_subproblem
 from support import newsvendor, random_recourse_instance
 
@@ -178,11 +179,15 @@ def test_trajectory_resource_consistency():
         assert np.abs(real.B @ traj.x[t] - traj.resource[t]).max(initial=0.0) <= 1e-10
 
 
-def assert_replays(path, key, error):
-    """The dump at ``path`` names the solve key and the error, and the
-    bundled solver solves it from the recorded start basis."""
+def assert_replays(path, key, error, iteration=None):
+    """The dump at ``path`` names the solve key, the error and (for a
+    training solve) the iteration, and the bundled solver solves it from the
+    recorded start basis."""
     spec, start, context = load_subproblem(path)
-    assert context == {"key": key, "error": error}
+    expected = {"key": key, "error": error}
+    if iteration is not None:
+        expected["iteration"] = iteration
+    assert context == expected
     assert BundledSolver().solve(spec, start).status is SolveStatus.OPTIMAL
 
 
@@ -211,9 +216,36 @@ def test_numerical_breakdown_names_stage_and_outcome_and_dumps(tmp_path):
     # the second solve of the forward pass is stage 1 under outcome 1
     with pytest.raises(NumericalBreakdown) as info:
         forward_pass(state, ScenarioPath((1,), 0.5), 0)
-    assert str(info.value) == "stage 1 outcome 1: basis factorization failed"
+    message = "iteration 0 stage 1 outcome 1: basis factorization failed"
+    assert str(info.value) == message
     assert isinstance(info.value.__cause__, NumericalBreakdown)
-    assert_replays(tmp_path / "subproblem_f_1_1.json", ["f", 1, 1], str(info.value))
+    assert_replays(
+        tmp_path / "subproblem_f_1_1.json", ["f", 1, 1], str(info.value), 0
+    )
+
+
+@pytest.mark.parametrize(
+    "call, key, where",
+    [
+        (8, ["b", 1, 0], "iteration 1 stage 1 outcome 0"),
+        (10, ["lb"], "iteration 1 stage 0 outcome -1"),
+    ],
+    ids=["backward", "lower-bound"],
+)
+def test_training_breakdown_names_iteration_and_dumps(tmp_path, call, key, where):
+    # each iteration solves five subproblems: two forward, two backward
+    # (outcomes 0 and 1) and one lower bound
+    config = EngineConfig(
+        iterations=3,
+        ub_every=0,
+        solver=BreaksOnSolve(call),
+        debug_dump=str(tmp_path),
+    )
+    with pytest.raises(NumericalBreakdown) as info:
+        run(newsvendor(), config)
+    assert str(info.value) == f"{where}: basis factorization failed"
+    tag = "_".join(str(part) for part in key)
+    assert_replays(tmp_path / f"subproblem_{tag}.json", key, str(info.value), 1)
 
 
 def test_breakdown_in_upper_bound_names_stage_and_outcome():
@@ -303,6 +335,91 @@ def test_warm_policy_simulation_matches_cold_decisions(monkeypatch):
     for t, info, R_prev, outcome, objective in steps:
         cold = policy_decision(p, pool, t, info, R_prev, outcome).objective
         assert objective == pytest.approx(cold, rel=1e-9, abs=1e-9)
+
+
+def storage_instance():
+    params = StorageNetworkParams(n_storage=3, T=8, n_regimes=2, n_nodes=2, n_lines=2)
+    return generate_storage_instance(params, np.random.default_rng(3))
+
+
+class RecordsCalls(BundledSolver):
+    """Records the spec and the start basis of every solve."""
+
+    def __init__(self):
+        self.calls = []
+
+    def solve(self, spec, start_basis=None):
+        self.calls.append((spec, start_basis))
+        return super().solve(spec, start_basis)
+
+
+def test_regularized_qp_starts_from_its_cut_familys_lp_basis(monkeypatch):
+    # Two paths per iteration: the second forward pass meets stage-0 cuts
+    # that the lower-bound LP of the previous iteration did not have, so
+    # its start is extended by the new cut rows' slacks.
+    p = storage_instance()
+    solver = RecordsCalls()
+    config = EngineConfig(
+        iterations=4,
+        regularized=True,
+        paths_per_iteration=2,
+        ub_every=0,
+        solver=solver,
+    )
+    passes = []
+    inner = engine.forward_pass
+
+    def recording(state, path, k):
+        passes.append((k, path, dict(state.warm), len(solver.calls)))
+        return inner(state, path, k)
+
+    monkeypatch.setattr(engine, "forward_pass", recording)
+    run(p, config)
+    checked = extended = 0
+    for k, path, warm, first in passes[2:]:  # the passes at k >= 1
+        qps = [
+            call for call in solver.calls[first : first + p.T + 1]
+            if call[0].quad is not None
+        ]
+        assert len(qps) == p.T
+        for t, (spec, start) in enumerate(qps):
+            stored = warm[("b", t, path.indices[t - 1]) if t else ("lb",)]
+            extra = spec.n_rows - stored.shape[0]
+            slacks = np.arange(spec.n_cols - extra, spec.n_cols)
+            assert np.array_equal(start, np.concatenate([stored, slacks]))
+            checked += 1
+            extended += extra > 0
+    assert checked == 6 * p.T
+    assert extended >= 3
+
+
+class ColdQps(BundledSolver):
+    """Starts every QP cold, and every LP as the engine asks."""
+
+    def solve(self, spec, start_basis=None):
+        if spec.quad is not None:
+            start_basis = None
+        return super().solve(spec, start_basis)
+
+
+def test_warm_regularized_run_matches_cold_qp_run():
+    # The QP stops within its optimality tolerance, so a warm and a cold
+    # start can leave the forward state (the cut anchor) apart by about
+    # 1e-7, and the intercept with it.  The cuts agree as affine functions:
+    # the same slope, and the same value at the cold run's anchor.
+    p = storage_instance()
+    config = dict(iterations=8, seed=1, regularized=True, ub_every=0)
+    warm_pool, warm = run(p, EngineConfig(**config))
+    cold_pool, cold = run(p, EngineConfig(**config, solver=ColdQps()))
+    np.testing.assert_allclose(warm.lower_bounds, cold.lower_bounds, rtol=1e-9)
+    for t in range(p.T):
+        for i in range(warm_pool.n_info[t]):
+            ours, theirs = warm_pool.cuts_at(t, i), cold_pool.cuts_at(t, i)
+            assert len(ours) == len(theirs) > 0
+            for a, b in zip(ours, theirs):
+                np.testing.assert_allclose(a.beta, b.beta, rtol=1e-9, atol=1e-9)
+                value = a.alpha + a.beta @ (b.anchor - a.anchor)
+                assert value == pytest.approx(b.alpha, rel=1e-9)
 
 
 def test_run_newsvendor_converges():

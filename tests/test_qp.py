@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sddpkit import qp
 from sddpkit.qp import solve_standard_qp
 from sddpkit.simplex import solve_standard_lp
 from sddpkit.subproblem import load_subproblem
@@ -103,6 +104,27 @@ def assert_kkt(res, A, b, c, G):
     assert y.min() >= -1e-10
     assert res.reduced_costs.min() >= -1e-7 * scale
     assert np.abs(y * res.reduced_costs).max() <= 1e-8 * scale
+
+
+def test_feasible_start_basis_skips_the_starting_lp(monkeypatch):
+    # Start bases are other vertices of the same polytope (LP optima under
+    # random costs): primal feasible, but not optimal for the QP's LP part.
+    rng = np.random.default_rng(2)
+    starts = []
+    for seed in range(20):
+        A, b, c = random_bounded_lp(seed + 300, m=5, n=9)
+        vertex = solve_standard_lp(A, b, rng.standard_normal(9))
+        if vertex.status == "optimal" and vertex.basis.max() < 9:
+            M = rng.standard_normal((3, 9))
+            starts.append((A, b, c, M.T @ M, vertex.basis))
+    assert len(starts) >= 10
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the QP solved its starting LP")
+
+    monkeypatch.setattr(qp, "solve_standard_lp", no_lp)
+    for A, b, c, G, basis in starts:
+        assert_kkt(solve_standard_qp(A, b, c, G, start_basis=basis), A, b, c, G)
 
 
 def test_degenerate_block_without_superbasic_pivot():
