@@ -212,9 +212,12 @@ def _cmd_bench(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     summary_rows = ["method,rho0,decay,seed,final_lb,iters_to_threshold"]
-    plain_lbs: dict[int, list[float]] = {}
+    plain_reports: dict[int, engine.SolveReport] = {}
     reg_iters: list[int] = []
     plain_iters: list[int] = []
+    # per seed, the wall seconds of the iterations through the hit
+    reg_seconds: list[float] = []
+    plain_seconds: list[float] = []
 
     for seed in seeds:
         cfg = engine.EngineConfig(
@@ -224,8 +227,7 @@ def _cmd_bench(args) -> int:
             ub_every=0,
             workers=args.workers,
         )
-        _, report = engine.run(problem, cfg)
-        plain_lbs[seed] = report.lower_bounds
+        _, plain_reports[seed] = engine.run(problem, cfg)
 
     for rho0 in rho0s:
         for decay in decays:
@@ -240,7 +242,7 @@ def _cmd_bench(args) -> int:
                 )
                 _, report = engine.run(problem, cfg)
                 lbs = report.lower_bounds
-                base = plain_lbs[seed]
+                base = plain_reports[seed].lower_bounds
                 # both methods are scored against the weaker of the two
                 # final bounds so a better final is never penalized
                 reference = min(base[-1], lbs[-1])
@@ -251,6 +253,10 @@ def _cmd_bench(args) -> int:
                 if (rho0, decay) == (rho0s[0], decays[0]):
                     reg_iters.append(hit)
                     plain_iters.append(plain_hit)
+                    reg_seconds.append(sum(report.wall_ms[: hit + 1]) / 1e3)
+                    plain_seconds.append(
+                        sum(plain_reports[seed].wall_ms[: plain_hit + 1]) / 1e3
+                    )
                     summary_rows.append(
                         f"plain,,,{seed},{base[-1]!r},{plain_hit}"
                     )
@@ -272,6 +278,14 @@ def _cmd_bench(args) -> int:
     print(f"threshold_fraction: {args.threshold}")
     print(f"plain_median_iters_to_threshold: {plain_median}")
     print(f"regularized_median_iters_to_threshold: {reg_median}")
+    print(
+        "plain_median_seconds_to_threshold: "
+        f"{statistics.median(plain_seconds):.6f}"
+    )
+    print(
+        "regularized_median_seconds_to_threshold: "
+        f"{statistics.median(reg_seconds):.6f}"
+    )
     print(
         "regularized_not_slower: "
         + ("yes" if reg_median <= plain_median else "no")

@@ -524,7 +524,14 @@ def estimate_upper_bound(
 ) -> tuple[float, float]:
     """Monte-Carlo cost of the cut policy (pure argmin of cost + cuts, no
     regularization): sample mean and standard error.  ``config`` supplies
-    the solver, the residual tolerances and the debug-dump directory."""
+    the solver, the residual tolerances and the debug-dump directory.
+
+    The paths share one warm-start table, fresh on each call: every LP but
+    the first of its shape starts warm (see ``_policy_decision``).  A warm
+    and a cold solve agree on the objective only to the simplex's
+    optimality tolerance, and where optimal vertices tie they can return
+    different decisions, so the mean is not bit-identical to that of a
+    simulation that starts its LPs otherwise."""
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
     if not _pool_covers_all_stages(pool, problem):
@@ -535,8 +542,9 @@ def estimate_upper_bound(
     config = config or EngineConfig()
     solver = config.solver or BundledSolver()
     # The pool is fixed while paths are simulated, so the LP under each
-    # (stage, information state) keeps its shape and the basis of the last
-    # path warm-starts the next.
+    # (stage, information state) keeps its shape: the basis of the last path
+    # warm-starts the next, and a first visit starts from the last LP of
+    # the same shape.  Only the first LP of each shape starts cold.
     warm: dict = {}
 
     def simulate(path: ScenarioPath) -> float:
@@ -594,19 +602,27 @@ def _policy_decision(
     warm: dict,
 ) -> PolicyDecision:
     """One policy solve, shared by ``policy_decision`` and the policy
-    simulation of ``estimate_upper_bound``: it starts from the basis stored
-    in ``warm`` under ``(t, info_index)``, if any, and stores its own there."""
+    simulation of ``estimate_upper_bound``.  It starts from the basis stored
+    in ``warm`` under ``(t, info_index)``; when that key holds none of the
+    right row count, from the last basis stored by any LP of the same
+    ``(n_rows, n_cols)`` shape (a sibling information state, or the previous
+    stage when stages share their matrix); otherwise cold.  It stores its
+    own basis under both keys.  The simplex repairs or rejects a start that
+    does not fit: by dual simplex, phase 1, or its cold retry."""
     myopic = t < problem.T and pool.n_cuts(t, info_index) == 0
     spec, n_stage = policy_subproblem(
         problem, None if myopic else pool, t, info_index, outcome, R_prev
     )
+    # Three entries, so the key never equals a (t, info_index) pair.
+    shape = ("shape", spec.n_rows, spec.n_cols)
     start = warm.get((t, info_index))
-    if start is not None and start.shape[0] != spec.n_rows:
-        start = None
+    if start is None or start.shape[0] != spec.n_rows:
+        start = warm.get(shape)
     sol = _solve_spec(
         solver, config, spec, ("policy", t, outcome), t, outcome, start
     )
     _keep_basis(warm, (t, info_index), sol, spec)
+    _keep_basis(warm, shape, sol, spec)
     real = problem.realization(t, outcome)
     x = sol.y[:n_stage]
     return PolicyDecision(

@@ -14,16 +14,18 @@ rank-one updates at each pivot and rebuilt from an LU factorization every
 update accepts.  The inverse is kept rather than LU factors with an eta
 file because the stage LPs are small (65-102 rows): at 65 rows ``inv @ v``
 takes about 2 us against 16 us for ``lu_solve``, and each eta step would
-add about 3 us of Python.  A solve that breaks down numerically is retried
-once from a cold start.
+add about 3 us of Python.  The factorization calls LAPACK's ``dgetrf`` and
+``dgetrs`` directly (``lu_factor``, ``lu_solve``): the routines behind
+``scipy.linalg.lu_factor`` and ``lu_solve``, with the same results bit for
+bit, without their per-call argument handling.  A solve that breaks down
+numerically is retried once from a cold start.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import NumericalBreakdown
 
@@ -35,6 +37,27 @@ STALL_LIMIT = 800
 
 class SingularBasis(NumericalBreakdown):
     """The candidate basis matrix is numerically singular."""
+
+
+def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LU factors and 0-based pivots of the square matrix ``a``, as
+    ``scipy.linalg.lu_factor(a, check_finite=False)`` returns them.  An
+    exactly zero pivot is left in the factors, without a warning."""
+    lu, piv, info = dgetrf(a)
+    if info < 0:
+        raise ValueError(f"dgetrf: illegal value in argument {-info}")
+    return lu, piv
+
+
+def lu_solve(lu_and_piv, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
+    """Solve ``a x = b`` from ``lu_factor(a)``, as
+    ``scipy.linalg.lu_solve(lu_and_piv, b, check_finite=False)`` does.
+    With ``overwrite_b``, a Fortran-ordered ``b`` is solved in place."""
+    lu, piv = lu_and_piv
+    x, info = dgetrs(lu, piv, b, overwrite_b=overwrite_b)
+    if info < 0:
+        raise ValueError(f"dgetrs: illegal value in argument {-info}")
+    return x
 
 
 class _Basis:
@@ -66,13 +89,11 @@ class _Basis:
         if m == 0:
             self._inv = np.zeros((0, 0))
         else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", LinAlgWarning)
-                lu, piv = lu_factor(B, check_finite=False)
+            lu, piv = lu_factor(B)
             diag = np.abs(np.diag(lu))
             if diag.min() <= 1e-13 * max(1.0, diag.max()):
                 raise SingularBasis("basis factorization failed: singular basis")
-            self._inv = lu_solve((lu, piv), np.eye(m), check_finite=False)
+            self._inv = lu_solve((lu, piv), np.eye(m, order="F"), overwrite_b=True)
         self._factored = self.cols.copy()
         self._updates = 0
 

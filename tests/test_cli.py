@@ -1,5 +1,6 @@
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sddpkit import engine
 from sddpkit.cli import cli_main
 from sddpkit.errors import NumericalBreakdown
 from sddpkit.model import save_instance
@@ -301,6 +303,40 @@ def test_bench_emits_tables_and_summary(tmp_path, capsys):
     assert pair.exists()
     header = pair.read_text().splitlines()[0]
     assert header == "iter,plain_lb,regularized_lb"
+
+
+def test_bench_prints_median_seconds_to_threshold(tmp_path, capsys, monkeypatch):
+    # Per seed, the wall time of the iterations through the one that hits
+    # the threshold; then the median over seeds.  summary.csv keeps its
+    # six columns.
+    inst = tmp_path / "inst.json"
+    generate = ["generate", "--out", str(inst), "--n-storage", "2"]
+    generate += ["--t-periods", "4", "--n-regimes", "2", "--seed", "5"]
+    assert cli_main(generate) == 0
+    reports = []
+    inner = engine.run
+
+    def recording(problem, config):
+        pool, report = inner(problem, config)
+        reports.append(report)
+        return pool, report
+
+    monkeypatch.setattr(engine, "run", recording)
+    out_dir = tmp_path / "bench"
+    bench = ["bench", str(inst), "--seeds", "0,1,2", "--iters", "6"]
+    assert cli_main(bench + ["--out-dir", str(out_dir)]) == 0
+    out = capsys.readouterr().out
+    rows = [r.split(",") for r in (out_dir / "summary.csv").read_text().splitlines()]
+    assert all(len(r) == 6 for r in rows)
+    hits = {(r[0], int(r[3])): int(r[5]) for r in rows[1:]}
+    plain, regularized = reports[:3], reports[3:]
+    for method, runs in (("plain", plain), ("regularized", regularized)):
+        seconds = [
+            sum(report.wall_ms[: hits[(method, seed)] + 1]) / 1e3
+            for seed, report in enumerate(runs)
+        ]
+        line = f"{method}_median_seconds_to_threshold: {statistics.median(seconds):.6f}"
+        assert line in out.splitlines()
 
 
 def test_bench_tuning_grid_emits_nine_trajectories(tmp_path):

@@ -287,33 +287,21 @@ def test_breakdown_in_run_upper_bound_dumps(tmp_path):
     )
 
 
-class RecordsStarts(BundledSolver):
-    """Records the start basis passed to every solve."""
+class RecordsCalls(BundledSolver):
+    """Records the spec, the start basis and the solution of every solve."""
 
     def __init__(self):
-        self.starts = []
+        self.calls = []
 
     def solve(self, spec, start_basis=None):
-        self.starts.append(start_basis)
-        return super().solve(spec, start_basis)
+        sol = super().solve(spec, start_basis)
+        self.calls.append((spec, start_basis, sol))
+        return sol
 
 
-def test_policy_simulation_warm_starts_after_first_path():
-    p, _ = random_recourse_instance(21, T=3)
-    pool, _ = run(p, EngineConfig(iterations=8, seed=0, ub_every=0))
-    solver = RecordsStarts()
-    estimate_upper_bound(
-        p, pool, 6, np.random.default_rng(0), config=EngineConfig(solver=solver)
-    )
-    per_path = p.T + 1
-    assert len(solver.starts) == 6 * per_path
-    assert all(start is None for start in solver.starts[:per_path])
-    assert all(start is not None for start in solver.starts[per_path:])
-
-
-def test_warm_policy_simulation_matches_cold_decisions(monkeypatch):
-    p, _ = random_recourse_instance(22, T=3)
-    pool, _ = run(p, EngineConfig(iterations=8, seed=0, ub_every=0))
+def simulate_recorded(monkeypatch, p, pool, n_paths, seed):
+    """Run the policy simulation and return one record per policy solve:
+    ``(t, info, R_prev, outcome, objective, spec, start, solution)``."""
     steps = []
     inner = engine._policy_decision
 
@@ -323,18 +311,71 @@ def test_warm_policy_simulation_matches_cold_decisions(monkeypatch):
         return step
 
     monkeypatch.setattr(engine, "_policy_decision", recording)
-    solver = RecordsStarts()
-    estimate_upper_bound(
-        p, pool, 5, np.random.default_rng(1), config=EngineConfig(solver=solver)
-    )
+    solver = RecordsCalls()
+    rng = np.random.default_rng(seed)
+    estimate_upper_bound(p, pool, n_paths, rng, config=EngineConfig(solver=solver))
     monkeypatch.undo()
-    assert len(steps) == 5 * (p.T + 1)
-    # every path after the first is warm started, so the comparison below
-    # checks warm solves against cold ones
-    assert sum(start is not None for start in solver.starts) == 4 * (p.T + 1)
-    for t, info, R_prev, outcome, objective in steps:
+    assert len(steps) == len(solver.calls) == n_paths * (p.T + 1)
+    return [step + call for step, call in zip(steps, solver.calls)]
+
+
+def check_start_rule(records) -> tuple[int, int]:
+    """Assert each start is the last basis stored under the solve's own
+    (stage, information state), or else the last of an LP of the same
+    shape, or else cold.  Returns how many first visits of a key started
+    from a sibling at the same stage and from an earlier stage."""
+    own, by_shape, stages_of_shape = {}, {}, {}
+    sibling = earlier = 0
+    for t, info, _, _, _, spec, start, sol in records:
+        shape = spec.A.shape
+        want = own.get((t, info))
+        if want is None:
+            want = by_shape.get(shape)
+            if want is not None:
+                if t in stages_of_shape[shape]:
+                    sibling += 1
+                else:
+                    earlier += 1
+        if want is None:
+            assert start is None
+        else:
+            assert np.array_equal(start, want)
+        if sol.basis.max(initial=-1) < spec.n_cols:
+            own[(t, info)] = by_shape[shape] = sol.basis
+            stages_of_shape.setdefault(shape, set()).add(t)
+    return sibling, earlier
+
+
+def test_policy_simulation_warm_starts_after_first_path(monkeypatch):
+    # Only the first LP of each shape starts cold: the first visit of a
+    # (stage, information state) starts from the last LP of its shape.
+    p, _ = random_recourse_instance(21, T=3)
+    pool, _ = run(p, EngineConfig(iterations=8, seed=0, ub_every=0))
+    records = simulate_recorded(monkeypatch, p, pool, 6, 0)
+    seen = set()
+    for *_, spec, start, _ in records:
+        assert (start is None) == (spec.A.shape not in seen)
+        seen.add(spec.A.shape)
+    assert len(seen) < p.T + 1  # some first-path solves start warm
+    check_start_rule(records)
+
+
+def assert_matches_cold(p, pool, records):
+    for t, info, R_prev, outcome, objective, *_ in records:
         cold = policy_decision(p, pool, t, info, R_prev, outcome).objective
         assert objective == pytest.approx(cold, rel=1e-9, abs=1e-9)
+
+
+def test_warm_policy_simulation_matches_cold_decisions(monkeypatch):
+    p, _ = random_recourse_instance(22, T=3)
+    pool, _ = run(p, EngineConfig(iterations=8, seed=0, ub_every=0))
+    records = simulate_recorded(monkeypatch, p, pool, 5, 1)
+    # all but the first LP of each shape start warm, so the comparison
+    # checks warm solves against cold ones
+    cold = sum(start is None for *_, start, _ in records)
+    assert cold == len({spec.A.shape for *_, spec, _, _ in records})
+    check_start_rule(records)
+    assert_matches_cold(p, pool, records)
 
 
 def storage_instance():
@@ -342,15 +383,18 @@ def storage_instance():
     return generate_storage_instance(params, np.random.default_rng(3))
 
 
-class RecordsCalls(BundledSolver):
-    """Records the spec and the start basis of every solve."""
-
-    def __init__(self):
-        self.calls = []
-
-    def solve(self, spec, start_basis=None):
-        self.calls.append((spec, start_basis))
-        return super().solve(spec, start_basis)
+def test_warm_policy_simulation_across_families_matches_cold(monkeypatch):
+    # Markov regimes: two information states per stage, and stages 1..T-1
+    # share their matrix, so first visits start from a sibling family or
+    # from the previous stage of the path.
+    p = storage_instance()
+    pool, _ = run(p, EngineConfig(iterations=6, seed=0, ub_every=0))
+    assert all(pool.n_info[t] == 2 for t in range(1, p.T))
+    records = simulate_recorded(monkeypatch, p, pool, 4, 2)
+    sibling, earlier = check_start_rule(records)
+    assert sibling >= 1 and earlier >= 1
+    assert sum(start is None for *_, start, _ in records) <= 3
+    assert_matches_cold(p, pool, records)
 
 
 def test_regularized_qp_starts_from_its_cut_familys_lp_basis(monkeypatch):
@@ -382,7 +426,7 @@ def test_regularized_qp_starts_from_its_cut_familys_lp_basis(monkeypatch):
             if call[0].quad is not None
         ]
         assert len(qps) == p.T
-        for t, (spec, start) in enumerate(qps):
+        for t, (spec, start, _) in enumerate(qps):
             stored = warm[("b", t, path.indices[t - 1]) if t else ("lb",)]
             extra = spec.n_rows - stored.shape[0]
             slacks = np.arange(spec.n_cols - extra, spec.n_cols)

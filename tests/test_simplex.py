@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sddpkit import simplex
 from sddpkit.qp import solve_standard_qp
@@ -213,3 +216,45 @@ def test_factorization_goes_through_module_lu_names(monkeypatch):
     assert np.allclose(res.x[:2], [0.5, 0.25])
     assert calls["lu_factor"] >= 1
     assert calls["lu_solve"] >= 1
+
+
+def fixture_bases():
+    """(name, basis matrix) for each fixture's start basis (the crash basis
+    of a cold start where the fixture holds none) and its optimal basis."""
+    out = []
+    for name in ("lp_singular_pivot", "qp_degenerate_block"):
+        spec, start, _ = load_subproblem(FIXTURES / f"{name}.json")
+        _, ext, bw = simplex._oriented_rows(spec.A, spec.rhs)
+        n = spec.A.shape[1]
+        if start is None:
+            start = simplex._crash_basis(ext, bw, n)
+        final = solve_standard_lp(spec.A, spec.rhs, spec.c, start).basis
+        out += [(f"{name}-start", ext[:, start]), (f"{name}-final", ext[:, final])]
+    return out
+
+
+def test_lu_wrappers_match_scipy_bit_for_bit():
+    rng = np.random.default_rng(7)
+    bases = [(f"random-{m}", rng.standard_normal((m, m))) for m in (1, 65, 150)]
+    for name, B in bases + fixture_bases():
+        m = B.shape[0]
+        lu, piv = simplex.lu_factor(B)
+        ref = scipy.linalg.lu_factor(B, check_finite=False)
+        assert np.array_equal(lu, ref[0]) and np.array_equal(piv, ref[1]), name
+        rhs = rng.standard_normal(m)
+        for b in (rhs, np.eye(m)):
+            x = simplex.lu_solve((lu, piv), b)
+            expected = scipy.linalg.lu_solve(ref, b, check_finite=False)
+            assert np.array_equal(x, expected), name
+        # the kernel's inverse build: the identity solved in place
+        inv = simplex.lu_solve((lu, piv), np.eye(m, order="F"), overwrite_b=True)
+        assert np.array_equal(inv, scipy.linalg.lu_solve(ref, np.eye(m))), name
+        assert inv.flags.f_contiguous
+
+
+def test_exactly_singular_basis_raises_without_warning():
+    matrix = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(simplex.SingularBasis):
+            simplex._Basis(matrix, [0, 1])
