@@ -603,12 +603,13 @@ def _policy_decision(
 ) -> PolicyDecision:
     """One policy solve, shared by ``policy_decision`` and the policy
     simulation of ``estimate_upper_bound``.  It starts from the basis stored
-    in ``warm`` under ``(t, info_index)``; when that key holds none of the
-    right row count, from the last basis stored by any LP of the same
-    ``(n_rows, n_cols)`` shape (a sibling information state, or the previous
-    stage when stages share their matrix); otherwise cold.  It stores its
-    own basis under both keys.  The simplex repairs or rejects a start that
-    does not fit: by dual simplex, phase 1, or its cold retry."""
+    in ``warm`` under ``(t, info_index)`` (the pool is fixed within a
+    simulation, so that LP keeps its shape); when that key holds none, from
+    the last basis stored by any LP of the same ``(n_rows, n_cols)`` shape
+    (a sibling information state, or the previous stage when stages share
+    their matrix); otherwise cold.  It stores its own basis under both
+    keys.  The simplex repairs or rejects a start that does not fit: by
+    dual simplex, phase 1, or its cold retry."""
     myopic = t < problem.T and pool.n_cuts(t, info_index) == 0
     spec, n_stage = policy_subproblem(
         problem, None if myopic else pool, t, info_index, outcome, R_prev
@@ -616,7 +617,7 @@ def _policy_decision(
     # Three entries, so the key never equals a (t, info_index) pair.
     shape = ("shape", spec.n_rows, spec.n_cols)
     start = warm.get((t, info_index))
-    if start is None or start.shape[0] != spec.n_rows:
+    if start is None:
         start = warm.get(shape)
     sol = _solve_spec(
         solver, config, spec, ("policy", t, outcome), t, outcome, start
