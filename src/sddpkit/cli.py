@@ -35,21 +35,9 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     mode.add_argument(
         "--plain", action="store_true", help="unregularized baseline (default)"
     )
-    chain = p.add_mutually_exclusive_group()
-    chain.add_argument(
-        "--markov",
-        action="store_true",
-        help="force per-information-state cut families",
-    )
-    chain.add_argument(
-        "--independent",
-        action="store_true",
-        help="force a single cut family per stage",
-    )
     p.add_argument("--rho0", type=float, default=1.0)
     p.add_argument("--decay", type=float, default=0.95)
     p.add_argument("--eps-feas", type=float, default=1e-8)
-    p.add_argument("--eps-comp", type=float, default=1e-8)
     p.add_argument("--ub-samples", type=int, default=100)
     p.add_argument("--ub-every", type=int, default=10, help="0 disables UB estimation")
     p.add_argument("--q-scale", default="identity", help="identity or diag:<file>")
@@ -60,11 +48,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args, iterations=None, regularized=None) -> engine.EngineConfig:
-    markov = None
-    if args.markov:
-        markov = True
-    elif args.independent:
-        markov = False
     q_scale = None
     if args.q_scale != "identity":
         if not args.q_scale.startswith("diag:"):
@@ -80,11 +63,9 @@ def _config_from_args(args, iterations=None, regularized=None) -> engine.EngineC
         iterations=iterations if iterations is not None else args.iters,
         seed=args.seed,
         regularized=regularized if regularized is not None else args.regularized,
-        markov=markov,
         schedule=engine.RegularizationSchedule(args.rho0, args.decay),
         q_scale=q_scale,
         eps_f=args.eps_feas,
-        eps_c=args.eps_comp,
         ub_samples=args.ub_samples,
         ub_every=args.ub_every,
         early_stop_patience=args.early_stop_patience,

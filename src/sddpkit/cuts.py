@@ -55,23 +55,23 @@ class Cut:
 @dataclass
 class _Bucket:
     cuts: list[Cut] = field(default_factory=list)
-    # Stacked copies of the cut data, rebuilt lazily after additions.
-    _alphas: np.ndarray | None = None
+    # Stacked slopes and offsets alpha - beta . anchor, rebuilt lazily
+    # after additions.
     _betas: np.ndarray | None = None
     _offsets: np.ndarray | None = None
 
     def add(self, cut: Cut) -> None:
         self.cuts.append(cut)
-        self._alphas = None
+        self._betas = None
 
-    def stacked(self, dim: int):
-        if self._alphas is None:
-            self._alphas = np.array([c.alpha for c in self.cuts])
+    def stacked(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        if self._betas is None:
+            alphas = np.array([c.alpha for c in self.cuts])
             self._betas = np.array([c.beta for c in self.cuts]).reshape(-1, dim)
-            self._offsets = self._alphas - np.einsum(
+            self._offsets = alphas - np.einsum(
                 "ij,ij->i", self._betas, np.array([c.anchor for c in self.cuts]).reshape(-1, dim)
             )
-        return self._alphas, self._betas, self._offsets
+        return self._betas, self._offsets
 
 
 class CutPool:
@@ -87,12 +87,11 @@ class CutPool:
         ]
 
     @classmethod
-    def for_problem(cls, problem, markov: bool | None = None) -> "CutPool":
-        """Empty pool laid out for ``problem``: one family per outcome at the
-        stages 1..T-1 of a Markov chain, one family elsewhere.  ``markov``
-        overrides the process kind (``None`` follows it)."""
-        if markov is None:
-            markov = problem.process.kind is ProcessKind.MARKOV
+    def for_problem(cls, problem) -> "CutPool":
+        """Empty pool laid out by the process kind of ``problem``: one family
+        per outcome (Markov information state) at the stages 1..T-1 of a
+        Markov chain, one family elsewhere and under stagewise independence."""
+        markov = problem.process.kind is ProcessKind.MARKOV
         return cls(
             resource_dims=problem.resource_dims,
             n_info=tuple(
@@ -150,7 +149,7 @@ class CutPool:
         bucket = self._buckets[t][info_index]
         if not bucket.cuts:
             return None
-        alphas, betas, offsets = bucket.stacked(self.resource_dims[t])
+        betas, offsets = bucket.stacked(self.resource_dims[t])
         return float((offsets + betas @ R).max())
 
     def embed(
@@ -181,7 +180,7 @@ class CutPool:
             raise DimensionMismatch(
                 f"linking matrix has {B.shape[1]} columns, stage has {n} variables"
             )
-        alphas, betas, offsets = bucket.stacked(r)
+        betas, offsets = bucket.stacked(r)
         slopes = betas @ B  # k x n
 
         A_aug = np.zeros((m + k, n + 2 + k))

@@ -1,5 +1,6 @@
 """SDDP iteration loop, with optional quadratic regularization of the
-forward pass and optional Markov information states.
+forward pass.  The cut families follow the process kind: one per Markov
+information state, one per stage under stagewise independence.
 
 One iteration samples a path, runs the forward pass under the current cut
 approximations (stabilized around the previous trajectory when
@@ -24,13 +25,7 @@ from .errors import (
     NumericalBreakdown,
     ResidualCheckError,
 )
-from .model import (
-    MultistageProblem,
-    ProcessKind,
-    ScenarioPath,
-    sample_path,
-    validate,
-)
+from .model import MultistageProblem, ScenarioPath, sample_path, validate
 from .stages import policy_subproblem
 from .subproblem import (
     BundledSolver,
@@ -38,7 +33,6 @@ from .subproblem import (
     SubproblemSolution,
     SubproblemSpec,
     SubproblemSolver,
-    complementarity_gap,
     save_subproblem,
     verify_residuals,
 )
@@ -66,16 +60,17 @@ class RegularizationSchedule:
 
 @dataclass
 class EngineConfig:
+    """Settings of a training run.  The cut-family layout is not among them:
+    it follows the process kind (``CutPool.for_problem``)."""
+
     iterations: int = 100
     seed: int = 0
     regularized: bool = False
-    markov: bool | None = None  # None: follow the process kind
     schedule: RegularizationSchedule = field(
         default_factory=lambda: RegularizationSchedule(1.0, 0.95)
     )
     q_scale: list | None = None  # per-stage PSD matrices or diagonals; None = identity
     eps_f: float = 1e-8
-    eps_c: float = 1e-8  # complementarity tolerance for basic LP solutions
     ub_samples: int = 100
     ub_every: int = 10
     early_stop_patience: int = 0
@@ -179,8 +174,7 @@ class SddpState:
     def __init__(self, problem: MultistageProblem, config: EngineConfig):
         self.problem = problem
         self.config = config
-        self.markov = _resolve_markov(problem, config)
-        self.pool = CutPool.for_problem(problem, self.markov)
+        self.pool = CutPool.for_problem(problem)
         self.q_mats = _resolve_q(problem, config.q_scale)
         self.solver: SubproblemSolver = config.solver or BundledSolver()
         self.incumbents = [
@@ -190,18 +184,6 @@ class SddpState:
         self.ub_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
         self.report = SolveReport()
         self.warm: dict = {}
-
-
-def _resolve_markov(problem: MultistageProblem, config: EngineConfig) -> bool:
-    is_markov = problem.process.kind is ProcessKind.MARKOV
-    if config.markov is None:
-        return is_markov
-    if is_markov and not config.markov:
-        raise EngineError(
-            "a Markov process requires per-information-state cuts; "
-            "markov=False would alias distinct conditional distributions"
-        )
-    return bool(config.markov)
 
 
 def _resolve_q(problem: MultistageProblem, q_scale) -> list[np.ndarray]:
@@ -281,7 +263,11 @@ def _solve_spec(
 
 
 def _solution_error(sol, spec, config, where: str) -> EngineError | None:
-    """The error a returned solution calls for, or ``None`` if it passes."""
+    """The error a returned solution calls for, or ``None`` if it passes: a
+    non-optimal status, or a primal residual above ``eps_f``.  No dual check
+    is made: the bundled solvers set the reduced cost of every basic and
+    superbasic column to zero and every other variable is zero, so the
+    complementarity gap of their solutions is exactly zero."""
     if sol.status is SolveStatus.INFEASIBLE:
         return InfeasibleSubproblemError(
             f"{where}: infeasible subproblem (relatively complete recourse violated)"
@@ -290,12 +276,6 @@ def _solution_error(sol, spec, config, where: str) -> EngineError | None:
         return EngineError(f"{where}: unbounded subproblem")
     if not verify_residuals(sol, spec, config.eps_f):
         return ResidualCheckError(f"{where}: primal residual exceeds eps_f={config.eps_f}")
-    if sol.is_basic_dual:
-        gap = complementarity_gap(sol)
-        if gap > config.eps_c * (1.0 + abs(sol.objective)):
-            return ResidualCheckError(
-                f"{where}: complementarity gap {gap} exceeds eps_c={config.eps_c}"
-            )
     return None
 
 
@@ -344,12 +324,12 @@ def _stage_solve(
         # basis is often primal feasible here and the QP skips its LP.
         start_key = ("b", t, outcome) if t >= 1 else ("lb",)
     start = state.warm.get(start_key)
+    # Cut rows only grow: the surplus slacks of the newer rows complete the
+    # stored basis.  The simplex rejects a start of any other row count.
     if start is not None and start.shape[0] < spec.n_rows:
         extra = spec.n_rows - start.shape[0]
         new_slacks = np.arange(spec.n_cols - extra, spec.n_cols)
         start = np.concatenate([start, new_slacks])
-    if start is not None and start.shape[0] != spec.n_rows:
-        start = None
     sol = _solve_spec(state.solver, state.config, spec, key, t, outcome, start, k)
     if spec.quad is None:
         _keep_basis(state.warm, key, sol, spec)
@@ -484,15 +464,11 @@ def run(
     for k in range(config.iterations):
         stats = iterate(state, k)
         if config.ub_every > 0 and (k + 1) % config.ub_every == 0:
-            if _pool_covers_all_stages(state.pool, problem):
-                mean, stderr = estimate_upper_bound(
-                    problem,
-                    state.pool,
-                    config.ub_samples,
-                    state.ub_rng,
-                    config=config,
-                )
-                state.report.add_ub(k, mean, stderr, config.ub_samples)
+            # Every backward pass has added a cut to every family by now.
+            mean, stderr = estimate_upper_bound(
+                problem, state.pool, config.ub_samples, state.ub_rng, config=config
+            )
+            state.report.add_ub(k, mean, stderr, config.ub_samples)
         if config.early_stop_patience > 0:
             if last_lb is not None and abs(stats.lower_bound - last_lb) <= 1e-12 * (
                 1.0 + abs(last_lb)
@@ -524,7 +500,7 @@ def estimate_upper_bound(
 ) -> tuple[float, float]:
     """Monte-Carlo cost of the cut policy (pure argmin of cost + cuts, no
     regularization): sample mean and standard error.  ``config`` supplies
-    the solver, the residual tolerances and the debug-dump directory.
+    the solver, the residual tolerance and the debug-dump directory.
 
     The paths share one warm-start table, fresh on each call: every LP but
     the first of its shape starts warm (see ``_policy_decision``).  A warm

@@ -11,11 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cuts import CutPool
+from .engine import policy_decision
 from .errors import InfeasibleSubproblemError, TooManyPaths
 from .model import MultistageProblem
 from .simplex import solve_standard_lp
-from .stages import policy_subproblem
-from .subproblem import SolveStatus, solve_lp
 
 DEFAULT_NODE_LIMIT = 100_000
 
@@ -197,7 +196,10 @@ def evaluate_policy_exact(
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> float:
     """Exact expected cost of the policy induced by a cut pool (myopic where
-    the pool is empty); always an upper bound on the exact optimum."""
+    the pool is empty); always an upper bound on the exact optimum.  Each
+    step is ``engine.policy_decision``, solved cold."""
+    if pool is None:
+        pool = CutPool.for_problem(problem)
     visited = 0
 
     def walk(t: int, outcome: int, R_prev: np.ndarray | None) -> float:
@@ -205,19 +207,12 @@ def evaluate_policy_exact(
         visited += 1
         if visited > node_limit:
             raise TooManyPaths(f"policy walk exceeds the {node_limit}-node limit")
-        info = 0 if pool is None else pool.info_index(t, outcome)
-        spec, n_stage = policy_subproblem(problem, pool, t, info, outcome, R_prev)
-        sol = solve_lp(spec)
-        if sol.status is not SolveStatus.OPTIMAL:
-            raise InfeasibleSubproblemError(
-                f"policy subproblem at stage {t} outcome {outcome} is {sol.status.value}"
-            )
-        x = sol.y[:n_stage]
-        real = problem.realization(t, outcome)
-        cost = float(real.c @ x)
+        info = pool.info_index(t, outcome)
+        step = policy_decision(problem, pool, t, info, R_prev, outcome)
+        cost = step.stage_cost
         if t == problem.T:
             return cost
-        R = real.B @ x
+        R = problem.realization(t, outcome).B @ step.x
         probs = problem.process.conditional_probs(t + 1, outcome)
         expected = 0.0
         for j in range(problem.process.n_outcomes(t + 1)):

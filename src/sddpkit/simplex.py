@@ -206,6 +206,7 @@ def _dual_iterate(
     cost: np.ndarray,
     basis: _Basis,
     x_b: np.ndarray,
+    reduced: np.ndarray,
     allowed: np.ndarray,
     max_iter: int,
 ) -> tuple[str, np.ndarray]:
@@ -214,15 +215,16 @@ def _dual_iterate(
     row cannot be repaired, "stalled" past the iteration cap; the caller
     falls back to a cold start on anything but success.
 
-    Reduced costs are updated incrementally and refreshed periodically.
+    ``reduced`` holds the reduced costs of ``cost`` at the starting basis
+    (it is overwritten).  They are updated incrementally and refreshed
+    periodically.
     """
     tol_p = 1e-9
-    reduced = None
     for it in range(max_iter):
         p = int(np.argmin(x_b))
         if x_b[p] >= -tol_p:
             return "feasible", x_b
-        if reduced is None or it % 40 == 39:
+        if it % 40 == 39:
             mu = basis.solve_transpose(cost[basis.cols])
             reduced = cost - matrix.T @ mu
         np.maximum(reduced, 0.0, out=reduced)
@@ -372,6 +374,7 @@ def _solve_lp_once(
 
     allowed_cols = np.zeros(n + m, dtype=bool)
     allowed_cols[:n] = True
+    cost2 = np.concatenate([c, np.zeros(m)])
 
     basis = None
     try:
@@ -384,7 +387,6 @@ def _solve_lp_once(
                 # Primal infeasible warm basis: repair by dual simplex if
                 # the basis is still dual feasible (the usual case when
                 # only rhs entries or appended cut rows changed).
-                cost2 = np.concatenate([c, np.zeros(m)])
                 mu = cand.solve_transpose(cost2[cand.cols])
                 reduced = cost2 - ext.T @ mu
                 dual_ok = (
@@ -393,7 +395,7 @@ def _solve_lp_once(
                 )
                 if dual_ok:
                     status, x_b = _dual_iterate(
-                        ext, cost2, cand, x_b, allowed_cols, 20 * m + 200
+                        ext, cost2, cand, x_b, reduced, allowed_cols, 20 * m + 200
                     )
                     if status == "feasible":
                         x_b[x_b < 0.0] = 0.0
@@ -428,7 +430,6 @@ def _solve_lp_once(
                 basis.update(pos, q, d)
             x_b[pos] = 0.0
 
-    cost2 = np.concatenate([c, np.zeros(m)])
     status, x_b = _iterate(ext, cost2, basis, x_b, allowed_cols, max_iter)
     if status == "unbounded":
         return LpResult(status="unbounded", feasible_basis=basis.cols.copy())

@@ -94,7 +94,6 @@ class SubproblemSolution:
     objective: float = np.nan
     duals: np.ndarray | None = None
     reduced_costs: np.ndarray | None = None
-    is_basic_dual: bool = False
     basis: np.ndarray | None = None
 
 
@@ -121,7 +120,6 @@ def solve_lp(
         objective=res.objective,
         duals=res.duals,
         reduced_costs=res.reduced_costs,
-        is_basic_dual=True,
         basis=res.basis,
     )
 
@@ -144,7 +142,6 @@ def solve_qp(
         objective=res.objective,
         duals=res.duals,
         reduced_costs=res.reduced_costs,
-        is_basic_dual=res.n_superbasic == 0,
         basis=res.basis,
     )
 

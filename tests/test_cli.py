@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import statistics
@@ -381,8 +382,6 @@ def test_solve_with_diagonal_q_scale(tmp_path, news_file):
             "--regularized",
             "--q-scale",
             f"diag:{qfile}",
-            "--eps-comp",
-            "1e-8",
             "--ub-every",
             "0",
         ]
@@ -396,6 +395,34 @@ def test_missing_file_exits_one(capsys):
     code = cli_main(["solve", "/nonexistent/path.json"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_traced_benchmark_wraps_every_planned_name(monkeypatch):
+    # The benchmark's --trace run wraps these names where the package looks
+    # them up; a refactor that removes or renames one fails here first.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    loader = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spans)
+    wrapped = []  # every name wrapped so far, restored even if install fails
+
+    def recording_wrap(tracer, owner, attr, *rest):
+        inner = real_wrap(tracer, owner, attr, *rest)
+        wrapped.append((owner, attr, inner))
+        return inner
+
+    real_wrap = spans._wrap
+    monkeypatch.setattr(spans, "_wrap", recording_wrap)
+    try:
+        saved = spans.install(spans.Tracer())
+        assert saved == wrapped
+        assert len({(id(owner), attr) for owner, attr, _ in saved}) == 18
+        for owner, attr, inner in saved:
+            assert getattr(owner, attr).__wrapped__ is inner
+    finally:
+        spans.uninstall(wrapped)
+    for owner, attr, inner in saved:
+        assert getattr(owner, attr) is inner
 
 
 def test_usage_error_exits_two():

@@ -276,10 +276,6 @@ def test_for_problem_layout_and_info_index():
     markov = CutPool.for_problem(chain)
     assert markov.n_info == (1, *n_out)
     assert CutPool.for_problem(independent).n_info == (1, 1, 1)
-    forced = CutPool.for_problem(independent, markov=True)
-    assert forced.n_info == (
-        1, *(independent.process.n_outcomes(t) for t in range(1, chain.T))
-    )
     last = n_out[-1] - 1
     assert markov.info_index(0, -1) == 0
     assert markov.info_index(chain.T - 1, last) == last

@@ -610,12 +610,6 @@ def test_markov_with_identical_rows_matches_stagewise():
         assert abs(a - b) <= 1e-8 * (1.0 + abs(a))
 
 
-def test_markov_process_with_independent_flag_rejected():
-    p, _ = random_recourse_instance(2, markov=True, T=2)
-    with pytest.raises(EngineError):
-        init_state(p, EngineConfig(iterations=1, markov=False))
-
-
 def test_results_independent_of_worker_count():
     p, _ = random_recourse_instance(37, markov=True, T=3)
     pool1, rep1 = run(p, EngineConfig(iterations=25, seed=4, ub_every=5, workers=1))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sddpkit import qp
+from sddpkit.errors import NumericalBreakdown
 from sddpkit.qp import solve_standard_qp
 from sddpkit.simplex import solve_standard_lp
 from sddpkit.subproblem import load_subproblem
@@ -137,6 +138,17 @@ def test_degenerate_block_without_superbasic_pivot():
     A, b, c, G = spec.A, spec.rhs, spec.c, spec.quad[0] * spec.quad[1]
     for start in (warm_basis, None):
         assert_kkt(solve_standard_qp(A, b, c, G, start_basis=start), A, b, c, G)
+
+
+@pytest.mark.xfail(strict=True, raises=NumericalBreakdown)
+def test_infeasible_working_set_replay():
+    # Captured regularized storage stage QP (62 x 97, diagonal G) whose LP
+    # relaxation is feasible.  The active set stops at a working set whose
+    # polished basics are negative, from the recorded start and cold alike.
+    spec, start, _ = load_subproblem(FIXTURES / "qp_infeasible_working_set.json")
+    A, b, c, G = spec.A, spec.rhs, spec.c, spec.quad[0] * spec.quad[1]
+    for basis in (start, None):
+        assert_kkt(solve_standard_qp(A, b, c, G, start_basis=basis), A, b, c, G)
 
 
 def test_objective_dominates_random_feasible_points():

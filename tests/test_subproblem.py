@@ -80,7 +80,8 @@ def test_solve_qp_routes_zero_penalty_to_lp():
     via_lp = solve_lp(SubproblemSpec(c=spec.c, A=spec.A, rhs=spec.rhs))
     assert via_qp.status is SolveStatus.OPTIMAL
     assert via_qp.objective == via_lp.objective
-    assert via_qp.is_basic_dual
+    for name in ("y", "duals", "basis"):
+        assert np.array_equal(getattr(via_qp, name), getattr(via_lp, name))
 
 
 def test_verify_residuals_exact_solution():
@@ -113,8 +114,21 @@ def test_verify_residuals_is_relative():
 
 
 def test_complementarity_gap_zero_for_basic_solutions():
+    # The solvers zero the reduced cost of every basic and superbasic
+    # column, and every other variable is zero: the gap is exactly zero.
     sol = solve_lp(simple_spec())
-    assert complementarity_gap(sol) <= 1e-12
+    assert complementarity_gap(sol) == 0.0
+    # Interior optimum y = (0.5, 0.25, 1.25): more positive entries than
+    # rows, so two of them are superbasic.
+    interior = SubproblemSpec(
+        c=np.array([-1.0, -0.5, 0.0]),
+        A=np.array([[1.0, 1.0, 1.0]]),
+        rhs=np.array([2.0]),
+        quad=(1.0, np.diag([2.0, 2.0, 0.0])),
+    )
+    qp_sol = solve_qp(interior)
+    assert np.count_nonzero(qp_sol.y) > interior.n_rows
+    assert complementarity_gap(qp_sol) == 0.0
 
 
 def test_kkt_residuals_lp():
@@ -130,7 +144,9 @@ def test_kkt_residuals_lp():
 def test_bundled_solver_dispatch():
     solver = BundledSolver()
     lp_sol = solver.solve(simple_spec())
-    assert lp_sol.is_basic_dual
+    direct = solve_lp(simple_spec())
+    for name in ("y", "duals", "basis"):
+        assert np.array_equal(getattr(lp_sol, name), getattr(direct, name))
     quad_spec = SubproblemSpec(
         c=np.array([-1.0, 0.0]),
         A=np.array([[1.0, 1.0]]),
