@@ -67,8 +67,6 @@ from .subproblem import (
     SolveStatus,
     SubproblemSolution,
     SubproblemSpec,
-    solve_lp,
-    solve_qp,
     verify_residuals,
 )
 
@@ -123,8 +121,6 @@ __all__ = [
     "sample_path",
     "save_cuts",
     "save_instance",
-    "solve_lp",
-    "solve_qp",
     "validate",
     "verify_residuals",
 ]

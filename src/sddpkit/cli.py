@@ -10,7 +10,7 @@ import numpy as np
 
 from . import engine, oracle, storage
 from .cuts import load_cuts
-from .errors import SddpkitError
+from .errors import ConfigError, SddpkitError
 from .model import load_instance, load_json, save_instance, validate
 
 
@@ -25,6 +25,20 @@ def _add_workers_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _number_list(kind):
+    """Argparse type of a non-empty comma-separated list of ``kind``."""
+
+    def parse(text: str) -> list:
+        try:
+            return [kind(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated list of numbers, got {text!r}"
+            ) from None
+
+    return parse
+
+
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iters", type=int, default=100, help="iteration count K")
     p.add_argument("--seed", type=int, default=0)
@@ -37,7 +51,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--rho0", type=float, default=1.0)
     p.add_argument("--decay", type=float, default=0.95)
-    p.add_argument("--eps-feas", type=float, default=1e-8)
     p.add_argument("--ub-samples", type=int, default=100)
     p.add_argument("--ub-every", type=int, default=10, help="0 disables UB estimation")
     p.add_argument("--q-scale", default="identity", help="identity or diag:<file>")
@@ -65,12 +78,10 @@ def _config_from_args(args, iterations=None, regularized=None) -> engine.EngineC
         regularized=regularized if regularized is not None else args.regularized,
         schedule=engine.RegularizationSchedule(args.rho0, args.decay),
         q_scale=q_scale,
-        eps_f=args.eps_feas,
         ub_samples=args.ub_samples,
         ub_every=args.ub_every,
         early_stop_patience=args.early_stop_patience,
         paths_per_iteration=args.paths_per_iter,
-        workers=args.workers,
         debug_dump=args.debug_dump,
     )
 
@@ -125,7 +136,7 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     problem = load_instance(args.instance)
     pool = load_cuts(args.cuts)
-    lb = engine.policy_decision(problem, pool, 0, 0, None, -1).objective
+    lb = engine.policy_decision(problem, pool, 0, -1, None).objective
     v_star = oracle.build_and_solve_extensive_form(problem, node_limit=args.node_limit)
     gap = v_star - lb
     ok = lb <= v_star + args.tol
@@ -185,10 +196,10 @@ def _iterations_to_threshold(
 
 
 def _cmd_bench(args) -> int:
+    if not 0.0 < args.threshold <= 1.0:
+        raise ConfigError(f"threshold must lie in (0, 1], got {args.threshold!r}")
     problem = load_instance(args.instance)
-    seeds = [int(s) for s in args.seeds.split(",") if s != ""]
-    rho0s = [float(v) for v in args.rho0_grid.split(",")]
-    decays = [float(v) for v in args.decay_grid.split(",")]
+    seeds, rho0s, decays = args.seeds, args.rho0_grid, args.decay_grid
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -206,7 +217,6 @@ def _cmd_bench(args) -> int:
             seed=seed,
             regularized=False,
             ub_every=0,
-            workers=args.workers,
         )
         _, plain_reports[seed] = engine.run(problem, cfg)
 
@@ -219,7 +229,6 @@ def _cmd_bench(args) -> int:
                     regularized=True,
                     schedule=engine.RegularizationSchedule(rho0, decay),
                     ub_every=0,
-                    workers=args.workers,
                 )
                 _, report = engine.run(problem, cfg)
                 lbs = report.lower_bounds
@@ -321,10 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="regularized vs plain bound trajectories")
     b.add_argument("instance")
-    b.add_argument("--seeds", default="0,1,2,3,4")
+    b.add_argument("--seeds", type=_number_list(int), default="0,1,2,3,4")
     b.add_argument("--iters", type=int, default=40)
-    b.add_argument("--rho0-grid", default="1")
-    b.add_argument("--decay-grid", default="0.95")
+    b.add_argument("--rho0-grid", type=_number_list(float), default="1")
+    b.add_argument("--decay-grid", type=_number_list(float), default="0.95")
     b.add_argument("--threshold", type=float, default=0.99)
     b.add_argument("--out-dir", required=True)
     _add_workers_flag(b)

@@ -39,6 +39,8 @@ from .subproblem import (
 
 
 CURVATURE_FLOOR = 1e-8
+# Relative primal residual ||Ay - rhs|| / (1 + ||rhs||) a solution may keep.
+EPS_F = 1e-8
 
 
 @dataclass(frozen=True)
@@ -70,15 +72,11 @@ class EngineConfig:
         default_factory=lambda: RegularizationSchedule(1.0, 0.95)
     )
     q_scale: list | None = None  # per-stage PSD matrices or diagonals; None = identity
-    eps_f: float = 1e-8
     ub_samples: int = 100
     ub_every: int = 10
     early_stop_patience: int = 0
     paths_per_iteration: int = 1
-    # Accepted, but starts no threads and changes no result: the pure-Python
-    # simplex holds the GIL, and a thread pool measured slower than serial.
-    workers: int = 1
-    solver: SubproblemSolver | None = None
+    solver: SubproblemSolver = field(default_factory=BundledSolver)
     debug_dump: str | None = None
 
     def __post_init__(self):
@@ -176,7 +174,6 @@ class SddpState:
         self.config = config
         self.pool = CutPool.for_problem(problem)
         self.q_mats = _resolve_q(problem, config.q_scale)
-        self.solver: SubproblemSolver = config.solver or BundledSolver()
         self.incumbents = [
             np.zeros(problem.resource_dims[t]) for t in range(problem.T)
         ]
@@ -216,16 +213,12 @@ def _resolve_q(problem: MultistageProblem, q_scale) -> list[np.ndarray]:
 
 def init_state(problem: MultistageProblem, config: EngineConfig) -> SddpState:
     report = validate(problem)
-    hard = [
-        v for v in report.violations if "non-positive probability" not in v
-    ]
-    if hard:
-        raise EngineError("invalid problem: " + "; ".join(hard))
+    if not report.ok:
+        raise EngineError("invalid problem: " + "; ".join(report.violations))
     return SddpState(problem, config)
 
 
 def _solve_spec(
-    solver: SubproblemSolver,
     config: EngineConfig,
     spec: SubproblemSpec,
     key,
@@ -244,11 +237,11 @@ def _solve_spec(
         where = f"iteration {iteration} {where}"
     cause = None
     try:
-        sol = solver.solve(spec, start_basis=start)
+        sol = config.solver.solve(spec, start_basis=start)
     except NumericalBreakdown as exc:
         error, cause = NumericalBreakdown(f"{where}: {exc}"), exc
     else:
-        error = _solution_error(sol, spec, config, where)
+        error = _solution_error(sol, spec, where)
     if error is None:
         return sol
     if config.debug_dump:
@@ -262,9 +255,9 @@ def _solve_spec(
     raise error from cause
 
 
-def _solution_error(sol, spec, config, where: str) -> EngineError | None:
+def _solution_error(sol, spec, where: str) -> EngineError | None:
     """The error a returned solution calls for, or ``None`` if it passes: a
-    non-optimal status, or a primal residual above ``eps_f``.  No dual check
+    non-optimal status, or a primal residual above ``EPS_F``.  No dual check
     is made: the bundled solvers set the reduced cost of every basic and
     superbasic column to zero and every other variable is zero, so the
     complementarity gap of their solutions is exactly zero."""
@@ -274,8 +267,8 @@ def _solution_error(sol, spec, config, where: str) -> EngineError | None:
         )
     if sol.status is SolveStatus.UNBOUNDED:
         return EngineError(f"{where}: unbounded subproblem")
-    if not verify_residuals(sol, spec, config.eps_f):
-        return ResidualCheckError(f"{where}: primal residual exceeds eps_f={config.eps_f}")
+    if not verify_residuals(sol, spec, EPS_F):
+        return ResidualCheckError(f"{where}: primal residual exceeds eps_f={EPS_F}")
     return None
 
 
@@ -285,22 +278,22 @@ def _stage_solve(
     outcome: int,
     R_prev: np.ndarray | None,
     *,
-    use_vfa: bool,
     rho: float,
     key,
     k: int,
+    myopic: bool = False,
 ) -> tuple[SubproblemSolution, int, float]:
-    """Build, (optionally) regularize and solve the stage problem.  An LP
-    is warm started from the basis last stored under ``key`` and stores its
-    own there; a regularized QP starts from its cut family's last LP basis.
+    """Build (without cuts when ``myopic``), (optionally) regularize and
+    solve the stage problem.  An LP is warm started from the basis last
+    stored under ``key`` and stores its own there; a regularized QP starts
+    from its cut family's last LP basis.
 
     Returns (solution, stage variable count, objective constant omitted by
     the solver).
     """
     problem = state.problem
-    pool = state.pool if use_vfa else None
     spec, n_stage = policy_subproblem(
-        problem, pool, t, state.pool.info_index(t, outcome), outcome, R_prev
+        problem, None if myopic else state.pool, t, outcome, R_prev
     )
     const = 0.0
     start_key = key
@@ -330,7 +323,7 @@ def _stage_solve(
         extra = spec.n_rows - start.shape[0]
         new_slacks = np.arange(spec.n_cols - extra, spec.n_cols)
         start = np.concatenate([start, new_slacks])
-    sol = _solve_spec(state.solver, state.config, spec, key, t, outcome, start, k)
+    sol = _solve_spec(state.config, spec, key, t, outcome, start, k)
     if spec.quad is None:
         _keep_basis(state.warm, key, sol, spec)
     return sol, n_stage, const
@@ -353,7 +346,6 @@ def forward_pass(state: SddpState, path: ScenarioPath, k: int) -> Trajectory:
     R_prev: np.ndarray | None = None
     for t in range(problem.T + 1):
         outcome = -1 if t == 0 else path.indices[t - 1]
-        use_vfa = k >= 1 and t < problem.T
         rho = 0.0
         if regularized and k >= 1 and t < problem.T:
             rho = schedule.value(k)
@@ -362,10 +354,10 @@ def forward_pass(state: SddpState, path: ScenarioPath, k: int) -> Trajectory:
             t,
             outcome,
             R_prev,
-            use_vfa=use_vfa,
             rho=rho,
             key=("f", t, outcome),
             k=k,
+            myopic=k == 0,
         )
         real = problem.realization(t, outcome)
         x = sol.y[:n_stage]
@@ -392,14 +384,7 @@ def backward_pass(state: SddpState, trajectory: Trajectory, k: int) -> int:
         slopes = np.empty((n_out, r_prev))
         for j in range(n_out):
             sol, _, _ = _stage_solve(
-                state,
-                t,
-                j,
-                anchor,
-                use_vfa=t < problem.T,
-                rho=0.0,
-                key=("b", t, j),
-                k=k,
+                state, t, j, anchor, rho=0.0, key=("b", t, j), k=k
             )
             values[j] = sol.objective
             slopes[j] = -sol.duals[:r_prev]
@@ -420,9 +405,7 @@ def lower_bound(state: SddpState) -> float:
     ends the iteration under way, whose index is the count of iterations
     already reported."""
     k = len(state.report.iterations)
-    sol, _, _ = _stage_solve(
-        state, 0, -1, None, use_vfa=True, rho=0.0, key=("lb",), k=k
-    )
+    sol, _, _ = _stage_solve(state, 0, -1, None, rho=0.0, key=("lb",), k=k)
     return sol.objective
 
 
@@ -482,14 +465,6 @@ def run(
     return state.pool, state.report
 
 
-def _pool_covers_all_stages(pool: CutPool, problem: MultistageProblem) -> bool:
-    return all(
-        pool.n_cuts(t, i) > 0
-        for t in range(problem.T)
-        for i in range(pool.n_info[t])
-    )
-
-
 def estimate_upper_bound(
     problem: MultistageProblem,
     pool: CutPool,
@@ -500,23 +475,23 @@ def estimate_upper_bound(
 ) -> tuple[float, float]:
     """Monte-Carlo cost of the cut policy (pure argmin of cost + cuts, no
     regularization): sample mean and standard error.  ``config`` supplies
-    the solver, the residual tolerance and the debug-dump directory.
+    the solver and the debug-dump directory.
 
     The paths share one warm-start table, fresh on each call: every LP but
-    the first of its shape starts warm (see ``_policy_decision``).  A warm
+    the first of its shape starts warm (see ``policy_decision``).  A warm
     and a cold solve agree on the objective only to the simplex's
     optimality tolerance, and where optimal vertices tie they can return
     different decisions, so the mean is not bit-identical to that of a
     simulation that starts its LPs otherwise."""
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
-    if not _pool_covers_all_stages(pool, problem):
+    if any(
+        pool.n_cuts(t, i) == 0 for t in range(problem.T) for i in range(pool.n_info[t])
+    ):
         raise EngineError(
             "upper-bound estimation requires at least one cut at every "
             "stage t < T (every information state)"
         )
-    config = config or EngineConfig()
-    solver = config.solver or BundledSolver()
     # The pool is fixed while paths are simulated, so the LP under each
     # (stage, information state) keeps its shape: the basis of the last path
     # warm-starts the next, and a first visit starts from the last LP of
@@ -528,9 +503,8 @@ def estimate_upper_bound(
         R_prev: np.ndarray | None = None
         for t in range(problem.T + 1):
             outcome = -1 if t == 0 else path.indices[t - 1]
-            info = pool.info_index(t, outcome)
-            step = _policy_decision(
-                problem, pool, t, info, R_prev, outcome, solver, config, warm
+            step = policy_decision(
+                problem, pool, t, outcome, R_prev, config=config, warm=warm
             )
             total += step.stage_cost
             R_prev = problem.realization(t, outcome).B @ step.x
@@ -546,58 +520,36 @@ def policy_decision(
     problem: MultistageProblem,
     pool: CutPool,
     t: int,
-    info_index: int,
-    R_prev: np.ndarray | None,
     outcome: int,
-    solver: SubproblemSolver | None = None,
-) -> PolicyDecision:
-    """Single-stage argmin under the stored approximation; falls back to the
-    myopic problem (with a flag) when no cuts exist at a non-terminal stage."""
-    return _policy_decision(
-        problem,
-        pool,
-        t,
-        info_index,
-        R_prev,
-        outcome,
-        solver or BundledSolver(),
-        EngineConfig(),
-        {},
-    )
-
-
-def _policy_decision(
-    problem: MultistageProblem,
-    pool: CutPool,
-    t: int,
-    info_index: int,
     R_prev: np.ndarray | None,
-    outcome: int,
-    solver: SubproblemSolver,
-    config: EngineConfig,
-    warm: dict,
+    *,
+    config: EngineConfig | None = None,
+    warm: dict | None = None,
 ) -> PolicyDecision:
-    """One policy solve, shared by ``policy_decision`` and the policy
-    simulation of ``estimate_upper_bound``.  It starts from the basis stored
-    in ``warm`` under ``(t, info_index)`` (the pool is fixed within a
-    simulation, so that LP keeps its shape); when that key holds none, from
-    the last basis stored by any LP of the same ``(n_rows, n_cols)`` shape
-    (a sibling information state, or the previous stage when stages share
-    their matrix); otherwise cold.  It stores its own basis under both
-    keys.  The simplex repairs or rejects a start that does not fit: by
-    dual simplex, phase 1, or its cold retry."""
-    myopic = t < problem.T and pool.n_cuts(t, info_index) == 0
-    spec, n_stage = policy_subproblem(
-        problem, None if myopic else pool, t, info_index, outcome, R_prev
-    )
+    """Single-stage argmin under the cuts of the outcome's family; the
+    myopic problem (with a flag) when that family is empty at a
+    non-terminal stage.  ``config`` supplies the solver and the debug-dump
+    directory.
+
+    Without ``warm`` the LP starts cold.  With it, the LP starts from the
+    basis stored there under ``(t, info_index)`` (within a simulation the
+    pool is fixed, so that LP keeps its shape); when that key holds none,
+    from the last basis stored by any LP of the same ``(n_rows, n_cols)``
+    shape (a sibling information state, or the previous stage when stages
+    share their matrix); otherwise cold.  It stores its own basis under
+    both keys.  The simplex repairs or rejects a start that does not fit:
+    by dual simplex, phase 1, or its cold retry."""
+    config = config or EngineConfig()
+    if warm is None:
+        warm = {}
+    info_index = pool.info_index(t, outcome)
+    spec, n_stage = policy_subproblem(problem, pool, t, outcome, R_prev)
     # Three entries, so the key never equals a (t, info_index) pair.
     shape = ("shape", spec.n_rows, spec.n_cols)
     start = warm.get((t, info_index))
     if start is None:
         start = warm.get(shape)
-    sol = _solve_spec(
-        solver, config, spec, ("policy", t, outcome), t, outcome, start
-    )
+    sol = _solve_spec(config, spec, ("policy", t, outcome), t, outcome, start)
     _keep_basis(warm, (t, info_index), sol, spec)
     _keep_basis(warm, shape, sol, spec)
     real = problem.realization(t, outcome)
@@ -606,5 +558,5 @@ def _policy_decision(
         x=x,
         objective=sol.objective,
         stage_cost=float(real.c @ x),
-        myopic_fallback=myopic,
+        myopic_fallback=t < problem.T and pool.n_cuts(t, info_index) == 0,
     )

@@ -141,7 +141,8 @@ class UncertaintyProcess:
 
     def conditional_probs(self, t: int, info_index: int) -> np.ndarray:
         """Distribution of the stage-t outcome given the stage-(t-1)
-        information state."""
+        information state: for a Markov chain the stage-(t-1) outcome, not
+        read at t = 1 (the root passes -1)."""
         if self.kind is ProcessKind.STAGEWISE_INDEPENDENT:
             assert self.probs is not None
             return self.probs[t - 1]
@@ -210,8 +211,9 @@ class UncertaintyProcess:
 
 def _prob_vector_violations(p: np.ndarray, label: str) -> list[str]:
     out = []
-    if np.any(p <= 0.0):
-        out.append(f"{label} contains a non-positive probability")
+    # Zero is allowed: an identity transition row is a valid chain.
+    if np.any(p < 0.0):
+        out.append(f"{label} contains a negative probability")
     total = float(np.sum(p))
     if abs(total - 1.0) > PROB_TOL:
         out.append(f"{label} sums to {total!r}")

@@ -87,8 +87,7 @@ def build_extensive_form(
         new_frontier = []
         for parent_idx in frontier:
             parent = nodes[parent_idx]
-            info = 0 if parent.t == 0 else parent.outcome
-            probs = problem.process.conditional_probs(t, info)
+            probs = problem.process.conditional_probs(t, parent.outcome)
             for j in range(problem.process.n_outcomes(t)):
                 if float(probs[j]) == 0.0:
                     continue
@@ -207,8 +206,7 @@ def evaluate_policy_exact(
         visited += 1
         if visited > node_limit:
             raise TooManyPaths(f"policy walk exceeds the {node_limit}-node limit")
-        info = pool.info_index(t, outcome)
-        step = policy_decision(problem, pool, t, info, R_prev, outcome)
+        step = policy_decision(problem, pool, t, outcome, R_prev)
         cost = step.stage_cost
         if t == problem.T:
             return cost

@@ -105,54 +105,32 @@ class SubproblemSolver(Protocol):
     ) -> SubproblemSolution: ...
 
 
-def solve_lp(
-    spec: SubproblemSpec, start_basis: np.ndarray | None = None
-) -> SubproblemSolution:
-    """Solve a pure LP spec with the revised simplex (basic duals)."""
-    if spec.quad is not None and spec.quad[0] > 0.0:
-        raise ValueError("solve_lp requires a spec without a quadratic term")
-    res = simplex.solve_standard_lp(spec.A, spec.rhs, spec.c, start_basis=start_basis)
-    if res.status != "optimal":
-        return SubproblemSolution(status=SolveStatus(res.status))
-    return SubproblemSolution(
-        status=SolveStatus.OPTIMAL,
-        y=res.x,
-        objective=res.objective,
-        duals=res.duals,
-        reduced_costs=res.reduced_costs,
-        basis=res.basis,
-    )
-
-
-def solve_qp(
-    spec: SubproblemSpec, start_basis: np.ndarray | None = None
-) -> SubproblemSolution:
-    """Solve a regularized spec; a vanished penalty routes to the LP path."""
-    if spec.quad is None or spec.quad[0] == 0.0:
-        return solve_lp(spec, start_basis=start_basis)
-    rho, H = spec.quad
-    res = qp.solve_standard_qp(
-        spec.A, spec.rhs, spec.c, rho * H, start_basis=start_basis
-    )
-    if res.status != "optimal":
-        return SubproblemSolution(status=SolveStatus(res.status))
-    return SubproblemSolution(
-        status=SolveStatus.OPTIMAL,
-        y=res.x,
-        objective=res.objective,
-        duals=res.duals,
-        reduced_costs=res.reduced_costs,
-        basis=res.basis,
-    )
-
-
 class BundledSolver:
-    """Reference implementation of the solver contract."""
+    """Reference implementation of the solver contract; a vanished penalty
+    routes to the LP path."""
 
     def solve(
         self, spec: SubproblemSpec, start_basis: np.ndarray | None = None
     ) -> SubproblemSolution:
-        return solve_qp(spec, start_basis=start_basis)
+        if spec.quad is None or spec.quad[0] == 0.0:
+            res = simplex.solve_standard_lp(
+                spec.A, spec.rhs, spec.c, start_basis=start_basis
+            )
+        else:
+            rho, H = spec.quad
+            res = qp.solve_standard_qp(
+                spec.A, spec.rhs, spec.c, rho * H, start_basis=start_basis
+            )
+        if res.status != "optimal":
+            return SubproblemSolution(status=SolveStatus(res.status))
+        return SubproblemSolution(
+            status=SolveStatus.OPTIMAL,
+            y=res.x,
+            objective=res.objective,
+            duals=res.duals,
+            reduced_costs=res.reduced_costs,
+            basis=res.basis,
+        )
 
 
 def verify_residuals(

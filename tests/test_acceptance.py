@@ -26,9 +26,9 @@ from sddpkit.oracle import build_and_solve_extensive_form, exact_value_function
 from sddpkit.simplex import solve_standard_lp
 from sddpkit.storage import StorageNetworkParams, generate_storage_instance
 from sddpkit.subproblem import (
+    BundledSolver,
     SubproblemSpec,
     complementarity_gap,
-    solve_lp,
     verify_residuals,
 )
 from support import (
@@ -156,6 +156,7 @@ def test_lower_bound_validity_and_monotonicity(convergence_suite):
             assert report.monotone_violations() == []
 
 
+@pytest.mark.slow
 def test_cut_validity_against_exact_value_functions(convergence_suite):
     # grid-check every stored cut on a representative sub-suite
     subset = [(False, 100), (False, 101), (False, 102), (True, 200), (True, 201)]
@@ -252,7 +253,7 @@ def test_subproblem_solver_oracle():
         b = A @ x0
         c = np.abs(rng.standard_normal(n))
         spec = SubproblemSpec(c=c, A=A, rhs=b)
-        sol = solve_lp(spec)
+        sol = BundledSolver().solve(spec)
         oracle = vertex_enumeration_optimum(A, b, c)
         assert oracle is not None
         ok &= sol.status.value == "optimal"
@@ -309,6 +310,7 @@ def _parse_summary(path):
     return out
 
 
+@pytest.mark.slow
 def test_regularization_benchmark(bench_artifacts):
     ok = bench_artifacts["elapsed"] <= 1800.0
     medians = {}

@@ -473,6 +473,48 @@ def test_engine_flag_out_of_range_exits_one(news_file, capsys, flags, message):
     assert capsys.readouterr().err.splitlines() == [message]
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seeds", ","], "expected a comma-separated list of numbers, got ','"),
+        (["--seeds", "x"], "expected a comma-separated list of numbers, got 'x'"),
+        (["--rho0-grid", "abc"], "expected a comma-separated list of numbers, got 'abc'"),
+        (["--rho0-grid", ","], "expected a comma-separated list of numbers, got ','"),
+        (["--threshold", "1.5"], "error: threshold must lie in (0, 1], got 1.5"),
+        (["--threshold", "0"], "error: threshold must lie in (0, 1], got 0.0"),
+    ],
+    ids=["empty-seeds", "word-seed", "word-rho0", "empty-rho0", "threshold-above-one",
+         "zero-threshold"],
+)
+def test_malformed_bench_flag_is_a_clean_error(tmp_path, news_file, capsys, flags, message):
+    # A malformed list is a usage error (exit 2); a threshold outside
+    # (0, 1] exits 1 with one error line; neither starts a run.
+    argv = ["bench", str(news_file), "--iters", "2", "--out-dir", str(tmp_path / "b"), *flags]
+    if message.startswith("error: "):
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+    else:
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(message)
+    assert not (tmp_path / "b").exists()
+
+
+def test_negative_probability_rejected(tmp_path, capsys):
+    # Probabilities [1.5, -0.5] sum to one; zero probabilities stay valid.
+    from dataclasses import replace
+
+    p = newsvendor()
+    process = replace(p.process, probs=(np.array([1.5, -0.5]),))
+    inst = tmp_path / "negative.json"
+    save_instance(replace(p, process=process), inst)
+    assert cli_main(["solve", str(inst), "--iters", "2", "--ub-every", "0"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: invalid problem: probs at stage 1 contains a negative probability"
+    ]
+
+
 def test_evaluate_zero_samples_exits_one(tmp_path, news_file, capsys):
     cuts = tmp_path / "cuts.json"
     cli_main(

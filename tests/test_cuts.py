@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sddpkit.cuts import Cut, CutPool, load_cuts
 from sddpkit.errors import DimensionMismatch, FormatVersionError, MalformedFileError
-from sddpkit.subproblem import SubproblemSpec, solve_lp
+from sddpkit.subproblem import BundledSolver, SubproblemSpec
 from support import (
     random_bounded_lp,
     random_recourse_instance,
@@ -108,7 +108,7 @@ def test_embed_empty_pool_returns_spec_unchanged():
 def test_embed_newsvendor_single_cut():
     pool = single_stage_pool([cut(15.0, -10.0)])
     spec = pool.embed(0, 0, newsvendor_stage0_spec(), np.array([[1.0, 0.0]]))
-    sol = solve_lp(spec)
+    sol = BundledSolver().solve(spec)
     assert sol.objective == pytest.approx(-12.0)
     assert sol.y[0] == pytest.approx(3.0)
 
@@ -119,7 +119,7 @@ def test_embed_exact_value_function_recovers_optimum():
         [cut(15.0, -10.0), cut(10.0, -5.0), cut(0.0, 0.0)]
     )
     spec = pool.embed(0, 0, newsvendor_stage0_spec(), np.array([[1.0, 0.0]]))
-    sol = solve_lp(spec)
+    sol = BundledSolver().solve(spec)
     assert sol.objective == pytest.approx(2.0)
     assert sol.y[0] == pytest.approx(2.0)
 
@@ -155,7 +155,7 @@ def test_embed_solve_equals_vertex_enumeration_on_augmented_problem():
                 cut(rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(-1, 1)),
             )
         spec = pool.embed(0, 0, SubproblemSpec(c=c, A=A, rhs=b), B)
-        sol = solve_lp(spec)
+        sol = BundledSolver().solve(spec)
         assert sol.status.value == "optimal"
         oracle = vertex_enumeration_optimum(spec.A, spec.rhs, spec.c)
         assert oracle is not None
@@ -177,7 +177,7 @@ def test_embed_never_below_vertex_minimum_of_composite():
     pool.add_cut(0, 0, cut(1.0, 0.5))
     pool.add_cut(0, 0, cut(-1.0, -0.5, 1.0))
     spec = pool.embed(0, 0, SubproblemSpec(c=c, A=A, rhs=b), B)
-    sol = solve_lp(spec)
+    sol = BundledSolver().solve(spec)
     best = np.inf
     import itertools
 

@@ -264,7 +264,9 @@ def test_breakdown_in_policy_decision_names_stage_and_outcome():
     p = newsvendor()
     pool, _ = run(p, EngineConfig(iterations=5, seed=0, ub_every=0))
     with pytest.raises(NumericalBreakdown) as info:
-        policy_decision(p, pool, 1, 0, np.array([0.0]), 1, solver=BreaksOnSolve(1))
+        policy_decision(
+            p, pool, 1, 1, np.array([0.0]), config=EngineConfig(solver=BreaksOnSolve(1))
+        )
     assert str(info.value) == "stage 1 outcome 1: basis factorization failed"
     assert isinstance(info.value.__cause__, NumericalBreakdown)
 
@@ -303,14 +305,14 @@ def simulate_recorded(monkeypatch, p, pool, n_paths, seed):
     """Run the policy simulation and return one record per policy solve:
     ``(t, info, R_prev, outcome, objective, spec, start, solution)``."""
     steps = []
-    inner = engine._policy_decision
+    inner = engine.policy_decision
 
-    def recording(problem, pool, t, info, R_prev, outcome, *args):
-        step = inner(problem, pool, t, info, R_prev, outcome, *args)
-        steps.append((t, info, R_prev, outcome, step.objective))
+    def recording(problem, pool, t, outcome, R_prev, **kwargs):
+        step = inner(problem, pool, t, outcome, R_prev, **kwargs)
+        steps.append((t, pool.info_index(t, outcome), R_prev, outcome, step.objective))
         return step
 
-    monkeypatch.setattr(engine, "_policy_decision", recording)
+    monkeypatch.setattr(engine, "policy_decision", recording)
     solver = RecordsCalls()
     rng = np.random.default_rng(seed)
     estimate_upper_bound(p, pool, n_paths, rng, config=EngineConfig(solver=solver))
@@ -361,8 +363,8 @@ def test_policy_simulation_warm_starts_after_first_path(monkeypatch):
 
 
 def assert_matches_cold(p, pool, records):
-    for t, info, R_prev, outcome, objective, *_ in records:
-        cold = policy_decision(p, pool, t, info, R_prev, outcome).objective
+    for t, _, R_prev, outcome, objective, *_ in records:
+        cold = policy_decision(p, pool, t, outcome, R_prev).objective
         assert objective == pytest.approx(cold, rel=1e-9, abs=1e-9)
 
 
@@ -545,7 +547,7 @@ def test_estimate_upper_bound_requires_cuts_everywhere():
 def test_policy_decision_converged_newsvendor():
     p = newsvendor()
     pool, _ = run(p, EngineConfig(iterations=20, seed=0, ub_every=0))
-    decision = policy_decision(p, pool, 0, 0, None, -1)
+    decision = policy_decision(p, pool, 0, -1, None)
     assert decision.x[0] == pytest.approx(2.0, abs=1e-8)
     assert not decision.myopic_fallback
 
@@ -553,16 +555,33 @@ def test_policy_decision_converged_newsvendor():
 def test_policy_decision_terminal_stage_is_myopic():
     p = newsvendor()
     pool, _ = run(p, EngineConfig(iterations=5, seed=0, ub_every=0))
-    decision = policy_decision(p, pool, 1, 0, np.array([0.0]), 0)
+    decision = policy_decision(p, pool, 1, 0, np.array([0.0]))
     assert decision.x[0] == pytest.approx(1.0)  # cover demand exactly
     assert not decision.myopic_fallback
 
 
 def test_policy_decision_empty_pool_flags_fallback():
     p = newsvendor()
-    decision = policy_decision(p, CutPool.for_problem(p), 0, 0, None, -1)
+    decision = policy_decision(p, CutPool.for_problem(p), 0, -1, None)
     assert decision.myopic_fallback
     assert decision.x[0] == pytest.approx(0.0)
+
+
+def test_policy_decision_takes_the_family_of_its_outcome():
+    # Markov regimes: theta of a policy solve is the cut model of the
+    # outcome's own family at the decision's resource, and the other
+    # family's cut model differs there.
+    p = storage_instance()
+    pool, _ = run(p, EngineConfig(iterations=6, seed=0, ub_every=0))
+    R = p.stage0.B @ policy_decision(p, pool, 0, -1, None).x
+    for t in range(1, p.T):
+        for j in (0, 1):
+            step = policy_decision(p, pool, t, j, R)
+            R_next = p.realization(t, j).B @ step.x
+            theta = step.objective - step.stage_cost
+            assert theta == pytest.approx(pool.evaluate(t, j, R_next), rel=1e-12)
+            assert pool.evaluate(t, 1 - j, R_next) != pytest.approx(theta, rel=1e-12)
+        R = R_next
 
 
 def test_vanishing_regularization_matches_plain_objectives():
@@ -608,18 +627,6 @@ def test_markov_with_identical_rows_matches_stagewise():
     _, rep_mk = run(q, EngineConfig(iterations=30, seed=7, ub_every=0))
     for a, b in zip(rep_sw.lower_bounds, rep_mk.lower_bounds):
         assert abs(a - b) <= 1e-8 * (1.0 + abs(a))
-
-
-def test_results_independent_of_worker_count():
-    p, _ = random_recourse_instance(37, markov=True, T=3)
-    pool1, rep1 = run(p, EngineConfig(iterations=25, seed=4, ub_every=5, workers=1))
-    pool4, rep4 = run(p, EngineConfig(iterations=25, seed=4, ub_every=5, workers=4))
-    assert rep1.lower_bounds == rep4.lower_bounds
-    assert rep1.sampled_costs == rep4.sampled_costs
-    assert pool1.same_as(pool4)
-    assert {k: v[:2] for k, v in rep1.ub_evals.items()} == {
-        k: v[:2] for k, v in rep4.ub_evals.items()
-    }
 
 
 def test_report_csv_layout(tmp_path):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sddpkit import simplex
 from sddpkit.errors import FormatVersionError, MalformedFileError
 from sddpkit.subproblem import (
     BundledSolver,
@@ -12,8 +13,6 @@ from sddpkit.subproblem import (
     kkt_residuals,
     load_subproblem,
     save_subproblem,
-    solve_lp,
-    solve_qp,
     verify_residuals,
 )
 from support import FIXTURES
@@ -58,17 +57,6 @@ def test_spec_validate_flags_indefinite_quadratic():
     assert ok.validate() == []
 
 
-def test_solve_lp_rejects_quadratic_spec():
-    spec = SubproblemSpec(
-        c=np.array([0.0, 0.0]),
-        A=np.array([[1.0, 1.0]]),
-        rhs=np.array([1.0]),
-        quad=(1.0, np.eye(2)),
-    )
-    with pytest.raises(ValueError):
-        solve_lp(spec)
-
-
 def test_solve_qp_routes_zero_penalty_to_lp():
     spec = SubproblemSpec(
         c=np.array([1.0, 0.0]),
@@ -76,8 +64,8 @@ def test_solve_qp_routes_zero_penalty_to_lp():
         rhs=np.array([2.0]),
         quad=(0.0, np.eye(2)),
     )
-    via_qp = solve_qp(spec)
-    via_lp = solve_lp(SubproblemSpec(c=spec.c, A=spec.A, rhs=spec.rhs))
+    via_qp = BundledSolver().solve(spec)
+    via_lp = BundledSolver().solve(SubproblemSpec(c=spec.c, A=spec.A, rhs=spec.rhs))
     assert via_qp.status is SolveStatus.OPTIMAL
     assert via_qp.objective == via_lp.objective
     for name in ("y", "duals", "basis"):
@@ -86,13 +74,13 @@ def test_solve_qp_routes_zero_penalty_to_lp():
 
 def test_verify_residuals_exact_solution():
     spec = simple_spec()
-    sol = solve_lp(spec)
+    sol = BundledSolver().solve(spec)
     assert verify_residuals(sol, spec, 1e-8)
 
 
 def test_verify_residuals_detects_perturbation():
     spec = simple_spec()
-    sol = solve_lp(spec)
+    sol = BundledSolver().solve(spec)
     sol.y = sol.y + 1e-4
     assert not verify_residuals(sol, spec, 1e-8)
 
@@ -102,13 +90,13 @@ def test_verify_residuals_is_relative():
     spec = SubproblemSpec(
         c=np.array([1.0]), A=np.array([[1.0]]), rhs=np.array([1e6])
     )
-    sol = solve_lp(spec)
+    sol = BundledSolver().solve(spec)
     sol.y = sol.y + 1e-4
     assert verify_residuals(sol, spec, 1e-8)
     small = SubproblemSpec(
         c=np.array([1.0]), A=np.array([[1.0]]), rhs=np.array([1.0])
     )
-    sol_small = solve_lp(small)
+    sol_small = BundledSolver().solve(small)
     sol_small.y = sol_small.y + 1e-4
     assert not verify_residuals(sol_small, small, 1e-8)
 
@@ -116,7 +104,7 @@ def test_verify_residuals_is_relative():
 def test_complementarity_gap_zero_for_basic_solutions():
     # The solvers zero the reduced cost of every basic and superbasic
     # column, and every other variable is zero: the gap is exactly zero.
-    sol = solve_lp(simple_spec())
+    sol = BundledSolver().solve(simple_spec())
     assert complementarity_gap(sol) == 0.0
     # Interior optimum y = (0.5, 0.25, 1.25): more positive entries than
     # rows, so two of them are superbasic.
@@ -126,14 +114,14 @@ def test_complementarity_gap_zero_for_basic_solutions():
         rhs=np.array([2.0]),
         quad=(1.0, np.diag([2.0, 2.0, 0.0])),
     )
-    qp_sol = solve_qp(interior)
+    qp_sol = BundledSolver().solve(interior)
     assert np.count_nonzero(qp_sol.y) > interior.n_rows
     assert complementarity_gap(qp_sol) == 0.0
 
 
 def test_kkt_residuals_lp():
     spec = simple_spec()
-    sol = solve_lp(spec)
+    sol = BundledSolver().solve(spec)
     res = kkt_residuals(sol, spec)
     assert res["stationarity"] <= 1e-10
     assert res["feasibility"] <= 1e-10
@@ -143,10 +131,11 @@ def test_kkt_residuals_lp():
 
 def test_bundled_solver_dispatch():
     solver = BundledSolver()
-    lp_sol = solver.solve(simple_spec())
-    direct = solve_lp(simple_spec())
-    for name in ("y", "duals", "basis"):
-        assert np.array_equal(getattr(lp_sol, name), getattr(direct, name))
+    spec = simple_spec()
+    lp_sol = solver.solve(spec)
+    direct = simplex.solve_standard_lp(spec.A, spec.rhs, spec.c)
+    for name, want in (("y", direct.x), ("duals", direct.duals), ("basis", direct.basis)):
+        assert np.array_equal(getattr(lp_sol, name), want)
     quad_spec = SubproblemSpec(
         c=np.array([-1.0, 0.0]),
         A=np.array([[1.0, 1.0]]),
