@@ -25,6 +25,17 @@ def _add_workers_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _non_negative_int(text: str) -> int:
+    """Argparse type of a seed: numpy's ``SeedSequence`` rejects a negative
+    one, and only after the run has started."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return value
+
+
 def _number_list(kind):
     """Argparse type of a non-empty comma-separated list of ``kind``."""
 
@@ -41,7 +52,7 @@ def _number_list(kind):
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iters", type=int, default=100, help="iteration count K")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument(
         "--regularized", action="store_true", help="quadratic proximal forward pass"
@@ -119,6 +130,12 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    # a missing output directory fails now, not after every iteration ran
+    for flag, out in (("--out-cuts", args.out_cuts), ("--out-table", args.out_table)):
+        if out and not Path(out).parent.is_dir():
+            raise ConfigError(
+                f"{flag} {out}: directory {Path(out).parent} does not exist"
+            )
     problem = load_instance(args.instance)
     config = _config_from_args(args)
     pool, report = engine.run(problem, config)
@@ -294,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="generate a storage benchmark instance")
     g.add_argument("--params", default=None, help="params JSON file")
     g.add_argument("--out", required=True)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_non_negative_int, default=0)
     g.add_argument("--n-storage", type=int, default=None)
     g.add_argument("--t-periods", type=int, default=None)
     g.add_argument("--n-regimes", type=int, default=None)
@@ -321,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("instance")
     e.add_argument("cuts")
     e.add_argument("--samples", type=int, default=1000)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=_non_negative_int, default=0)
     e.add_argument("--exact", action="store_true")
     _add_workers_flag(e)
     e.add_argument("--node-limit", type=int, default=oracle.DEFAULT_NODE_LIMIT)
@@ -330,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="regularized vs plain bound trajectories")
     b.add_argument("instance")
-    b.add_argument("--seeds", type=_number_list(int), default="0,1,2,3,4")
+    b.add_argument("--seeds", type=_number_list(_non_negative_int), default="0,1,2,3,4")
     b.add_argument("--iters", type=int, default=40)
     b.add_argument("--rho0-grid", type=_number_list(float), default="1")
     b.add_argument("--decay-grid", type=_number_list(float), default="0.95")

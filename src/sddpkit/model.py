@@ -12,9 +12,13 @@ independent or a discrete Markov chain over the per-stage outcome lists.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import json
+import math
+import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -449,15 +453,76 @@ def problem_from_obj(obj: dict) -> MultistageProblem:
     )
 
 
-def canonical_json(obj: dict) -> str:
-    """Canonical text encoding: sorted keys, two-space indent, shortest
-    round-trip floats, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _scalar(value) -> str:
+    """``json.dumps(value, allow_nan=False)``.  A finite float, an int or a
+    string skips the encoder's set-up, which costs more than the text of a
+    cut record's few numbers."""
+    kind = type(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    return json.dumps(value, allow_nan=False)
+
+
+@functools.cache
+def _scalar_list(inner: str):
+    """The C encoder's ``encode`` for a list of scalars at indent ``inner``
+    (one per depth): its items come out separated by a newline and ``inner``."""
+    return json.JSONEncoder(separators=(",\n" + inner, ": "), allow_nan=False).encode
+
+
+def _encode(write, obj, pad: str) -> None:
+    """Write ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True,
+    allow_nan=False)`` writes it at indent ``pad``.  Containers of containers
+    recurse here; a list of scalars goes to the C encoder in one call."""
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        for k, (key, value) in enumerate(sorted(obj.items())):
+            if type(key) is str:
+                key_text = encode_basestring_ascii(key)
+            else:  # a one-entry dict gives the encoder's text for any key
+                key_text = json.dumps({key: 0}, allow_nan=False)[1:-4]
+            write(("," if k else "{") + "\n" + inner + key_text + ": ")
+            _encode(write, value, inner)
+        write("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, obj))):
+            for k, item in enumerate(obj):
+                write(("," if k else "[") + "\n" + inner)
+                _encode(write, item, inner)
+        else:
+            write("[\n" + inner)
+            write(_scalar_list(inner)(obj)[1:-1])
+        write("\n" + pad + "]")
+    else:
+        write(_scalar(obj))
 
 
 def write_json(path, fmt: str, version: int, body: dict) -> None:
-    """Write ``body`` under a ``format``/``version`` header, canonically."""
-    Path(path).write_text(canonical_json({"format": fmt, "version": version, **body}))
+    """Write ``body`` under a ``format``/``version`` header as the canonical
+    text ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` plus
+    a newline (sorted keys, two-space indent, shortest round-trip floats).
+
+    The text is streamed to a temporary file beside ``path`` that then
+    replaces it, so the whole text is never held in memory and a failed
+    encode (NaN, a non-JSON type) leaves ``path`` as it was."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        f = open(tmp, "w", encoding="ascii")
+    except OSError as exc:  # name the target, as a write in place would
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with f:
+            _encode(f.write, {"format": fmt, "version": version, **body}, "")
+            f.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_json(path, what: str, from_obj):

@@ -501,6 +501,51 @@ def test_malformed_bench_flag_is_a_clean_error(tmp_path, news_file, capsys, flag
     assert not (tmp_path / "b").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--out", "{dir}/inst.json", "--seed", "-1"],
+        ["solve", "{news}", "--iters", "2", "--seed", "-1"],
+        ["evaluate", "{news}", "{news}", "--samples", "2", "--seed", "-1"],
+        ["bench", "{news}", "--iters", "2", "--out-dir", "{dir}/b", "--seeds", "0,-1"],
+    ],
+    ids=["generate", "solve", "evaluate", "bench"],
+)
+def test_negative_seed_is_a_usage_error(tmp_path, news_file, capsys, argv):
+    # numpy rejects a negative seed with a traceback; argparse rejects it
+    # first, with a usage line, and nothing is written.
+    argv = [a.format(dir=tmp_path, news=news_file) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    flag = argv[-2]
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"argument {flag}: expected a non-negative integer, got '-1'"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["news.json"]
+
+
+@pytest.mark.parametrize("missing", ["--out-cuts", "--out-table"])
+def test_solve_checks_output_dirs_before_training(
+    tmp_path, news_file, capsys, monkeypatch, missing
+):
+    def no_training(*args, **kwargs):
+        raise AssertionError("engine.run called")
+
+    monkeypatch.setattr(engine, "run", no_training)
+    outs = {"--out-cuts": tmp_path / "cuts.json", "--out-table": tmp_path / "bounds.csv"}
+    outs[missing] = tmp_path / "missing" / outs[missing].name
+    argv = ["solve", str(news_file), "--iters", "2", "--ub-every", "0"]
+    for flag, path in outs.items():
+        argv += [flag, str(path)]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {missing} {outs[missing]}: directory {outs[missing].parent} "
+        "does not exist"
+    ]
+    assert [p.name for p in tmp_path.iterdir()] == ["news.json"]
+
+
 def test_negative_probability_rejected(tmp_path, capsys):
     # Probabilities [1.5, -0.5] sum to one; zero probabilities stay valid.
     from dataclasses import replace

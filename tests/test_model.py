@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sddpkit import cuts, engine, model, storage, subproblem
 from sddpkit.errors import FormatVersionError, MalformedFileError, TooManyPaths
 from sddpkit.model import (
     MultistageProblem,
@@ -17,6 +19,8 @@ from sddpkit.model import (
     save_instance,
     validate,
 )
+from sddpkit.storage import StorageNetworkParams, generate_storage_instance
+from sddpkit.subproblem import SubproblemSpec, save_subproblem
 from support import newsvendor, random_recourse_instance
 
 
@@ -251,3 +255,108 @@ def test_load_rejects_wrong_version(tmp_path):
     path.write_text(json.dumps(obj))
     with pytest.raises(FormatVersionError):
         load_instance(path)
+
+
+def canonical(obj) -> bytes:
+    """The canonical text that ``write_json`` must reproduce byte for byte."""
+    return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+
+
+def _write_cut_file(path):
+    params = StorageNetworkParams(n_storage=2, T=3, n_regimes=2)
+    problem = generate_storage_instance(params, np.random.default_rng(1))
+    pool, _ = engine.run(problem, engine.EngineConfig(iterations=3, ub_every=0))
+    pool.save(path)
+
+
+def _write_dump(path):
+    spec = SubproblemSpec(
+        c=np.array([-1.0, 0.0, 0.25]),
+        A=np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]),
+        rhs=np.array([2.0, 1.5]),
+        quad=(0.5, np.diag([1.0, 0.0, 2.0])),
+    )
+    save_subproblem(spec, path, np.array([0, 2]), {"key": ["f", 1, 0], "error": "x"})
+
+
+def _write_instance(path, markov):
+    params = StorageNetworkParams(n_storage=2, T=3, n_regimes=2, markov=markov)
+    save_instance(generate_storage_instance(params, np.random.default_rng(7)), path)
+
+
+@pytest.mark.parametrize(
+    "module, write",
+    [
+        (model, lambda path: _write_instance(path, markov=True)),
+        (model, lambda path: _write_instance(path, markov=False)),
+        (cuts, _write_cut_file),
+        (subproblem, _write_dump),
+        (storage, lambda path: StorageNetworkParams(n_storage=4, T=6).save(path)),
+    ],
+    ids=["markov-instance", "stagewise-instance", "cut-file", "subproblem-dump",
+         "storage-params"],
+)
+def test_every_file_is_the_canonical_text(tmp_path, monkeypatch, module, write):
+    # Each writer's header and body, encoded by json.dumps, is the file.
+    written = []
+
+    def recording_write_json(path, fmt, version, body):
+        written.append((path, {"format": fmt, "version": version, **body}))
+        real_write_json(path, fmt, version, body)
+
+    real_write_json = model.write_json
+    monkeypatch.setattr(module, "write_json", recording_write_json)
+    write(tmp_path / "out.json")
+    [(path, obj)] = written
+    assert Path(path).read_bytes() == canonical(obj)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": [{}, [], [[]]]},
+        (1, (2.5, ()), [3]),
+        [True, False, 0, 1, 0.0, 1.0],
+        None,
+        [None, 2**53 + 1, -(2**64)],
+        [-0.0, 5e-324, 1.7976931348623157e308],
+        [np.float64(0.1), np.float64(-2.5), 3.0],
+        ["é", 'a "quote" \\ here', "tab\tnewline\ncontrol\x01", ""],
+        [1, [2, [3, {"k": [4.5]}]], "x"],
+        {"z": 1, "a": {"y": [1.5, None], "b": {"": True}}},
+        {2.5: "float key", 1: "int key", -3: []},
+    ],
+)
+def test_write_json_matches_json_dumps(tmp_path, value):
+    path = tmp_path / "out.json"
+    model.write_json(path, "test", 1, {"value": value})
+    assert path.read_bytes() == canonical({"format": "test", "version": 1, "value": value})
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        (float("nan"), ValueError),
+        ([1.0, float("inf")], ValueError),
+        ({"deep": [[0.5, -float("inf")]]}, ValueError),
+        (np.int64(3), TypeError),
+        ([1, np.int64(3)], TypeError),
+    ],
+    ids=["nan", "inf-in-list", "nested-inf", "int64", "int64-in-list"],
+)
+def test_failed_write_keeps_the_old_file(tmp_path, value, error):
+    # As json.dumps does, the writer raises; the target keeps its old bytes
+    # and no temporary file is left beside it.
+    with pytest.raises(error):
+        json.dumps(value, allow_nan=False)
+    path = tmp_path / "out.json"
+    model.write_json(path, "test", 1, {"value": [1.0, 2.0]})
+    old = path.read_bytes()
+    with pytest.raises(error):
+        model.write_json(path, "test", 1, {"a": list(range(1000)), "value": value})
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
