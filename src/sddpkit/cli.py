@@ -129,13 +129,19 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_solve(args) -> int:
-    # a missing output directory fails now, not after every iteration ran
-    for flag, out in (("--out-cuts", args.out_cuts), ("--out-table", args.out_table)):
+def _check_out_dirs(*flags: tuple[str, str | None]) -> None:
+    """Fail on an output path whose directory does not exist before any work
+    starts, not after the run that was to fill it.  ``flags`` are (flag,
+    path) pairs; an unset path is skipped."""
+    for flag, out in flags:
         if out and not Path(out).parent.is_dir():
             raise ConfigError(
                 f"{flag} {out}: directory {Path(out).parent} does not exist"
             )
+
+
+def _cmd_solve(args) -> int:
+    _check_out_dirs(("--out-cuts", args.out_cuts), ("--out-table", args.out_table))
     problem = load_instance(args.instance)
     config = _config_from_args(args)
     pool, report = engine.run(problem, config)
@@ -151,6 +157,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_out_dirs(("--out", args.out))
     problem = load_instance(args.instance)
     pool = load_cuts(args.cuts)
     lb = engine.policy_decision(problem, pool, 0, -1, None).objective

@@ -55,23 +55,32 @@ class Cut:
 @dataclass
 class _Bucket:
     cuts: list[Cut] = field(default_factory=list)
-    # Stacked slopes and offsets alpha - beta . anchor, rebuilt lazily
-    # after additions.
+    # Stacked slopes and offsets alpha - beta . anchor of ``cuts``: the
+    # first len(cuts) rows of C-ordered buffers that double when full.  Those
+    # rows are C-contiguous, so ``betas @ B`` over them rounds as over a
+    # freshly stacked array, and each offset is the row's own einsum.
     _betas: np.ndarray | None = None
     _offsets: np.ndarray | None = None
 
     def add(self, cut: Cut) -> None:
+        k = len(self.cuts)
+        if self._betas is None or k == self._betas.shape[0]:
+            betas = np.empty((max(8, 2 * k), cut.beta.shape[0]))
+            offsets = np.empty(betas.shape[0])
+            if k:
+                betas[:k] = self._betas
+                offsets[:k] = self._offsets
+            self._betas, self._offsets = betas, offsets
+        self._betas[k] = cut.beta
+        self._offsets[k] = (
+            cut.alpha - np.einsum("ij,ij->i", cut.beta[None], cut.anchor[None])[0]
+        )
         self.cuts.append(cut)
-        self._betas = None
 
-    def stacked(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._betas is None:
-            alphas = np.array([c.alpha for c in self.cuts])
-            self._betas = np.array([c.beta for c in self.cuts]).reshape(-1, dim)
-            self._offsets = alphas - np.einsum(
-                "ij,ij->i", self._betas, np.array([c.anchor for c in self.cuts]).reshape(-1, dim)
-            )
-        return self._betas, self._offsets
+    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """Slopes and offsets of a bucket that holds at least one cut."""
+        k = len(self.cuts)
+        return self._betas[:k], self._offsets[:k]
 
 
 class CutPool:
@@ -149,7 +158,7 @@ class CutPool:
         bucket = self._buckets[t][info_index]
         if not bucket.cuts:
             return None
-        betas, offsets = bucket.stacked(self.resource_dims[t])
+        betas, offsets = bucket.stacked()
         return float((offsets + betas @ R).max())
 
     def embed(
@@ -180,7 +189,7 @@ class CutPool:
             raise DimensionMismatch(
                 f"linking matrix has {B.shape[1]} columns, stage has {n} variables"
             )
-        betas, offsets = bucket.stacked(r)
+        betas, offsets = bucket.stacked()
         slopes = betas @ B  # k x n
 
         A_aug = np.zeros((m + k, n + 2 + k))

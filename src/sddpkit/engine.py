@@ -12,7 +12,7 @@ trajectory.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,8 @@ from .errors import (
     ResidualCheckError,
 )
 from .model import MultistageProblem, ScenarioPath, sample_path, validate
-from .stages import policy_subproblem
+from .simplex import CarriedFactor
+from .stages import policy_subproblem, relink
 from .subproblem import (
     BundledSolver,
     SolveStatus,
@@ -482,7 +483,14 @@ def estimate_upper_bound(
     and a cold solve agree on the objective only to the simplex's
     optimality tolerance, and where optimal vertices tie they can return
     different decisions, so the mean is not bit-identical to that of a
-    simulation that starts its LPs otherwise."""
+    simulation that starts its LPs otherwise.
+
+    The paths also share one table of stage LPs, one per (stage, outcome),
+    held for the call: the cut-embedded matrix and cost, built on the first
+    visit, and the basis factor that LP's last solve ended on.  A visit
+    that starts from that basis starts from its factor instead of
+    factorizing it.  This changes no decision: the carried factor is the
+    one a fresh factorization would compute, bit for bit."""
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
     if any(
@@ -497,6 +505,7 @@ def estimate_upper_bound(
     # warm-starts the next, and a first visit starts from the last LP of
     # the same shape.  Only the first LP of each shape starts cold.
     warm: dict = {}
+    held: dict = {}
 
     def simulate(path: ScenarioPath) -> float:
         total = 0.0
@@ -504,7 +513,7 @@ def estimate_upper_bound(
         for t in range(problem.T + 1):
             outcome = -1 if t == 0 else path.indices[t - 1]
             step = policy_decision(
-                problem, pool, t, outcome, R_prev, config=config, warm=warm
+                problem, pool, t, outcome, R_prev, config=config, warm=warm, held=held
             )
             total += step.stage_cost
             R_prev = problem.realization(t, outcome).B @ step.x
@@ -525,6 +534,7 @@ def policy_decision(
     *,
     config: EngineConfig | None = None,
     warm: dict | None = None,
+    held: dict | None = None,
 ) -> PolicyDecision:
     """Single-stage argmin under the cuts of the outcome's family; the
     myopic problem (with a flag) when that family is empty at a
@@ -538,12 +548,26 @@ def policy_decision(
     shape (a sibling information state, or the previous stage when stages
     share their matrix); otherwise cold.  It stores its own basis under
     both keys.  The simplex repairs or rejects a start that does not fit:
-    by dual simplex, phase 1, or its cold retry."""
+    by dual simplex, phase 1, or its cold retry.
+
+    ``held`` keeps the stage LP of each ``(t, outcome)`` while ``pool``
+    stays fixed: the first visit builds it and gives it a
+    ``CarriedFactor``, later visits fold their ``R_prev`` into its
+    right-hand side.  The bundled solver then starts a visit whose start
+    basis is the one that LP last ended on from that solve's fresh basis
+    inverse, which gives the same bits as factorizing it again."""
     config = config or EngineConfig()
     if warm is None:
         warm = {}
     info_index = pool.info_index(t, outcome)
-    spec, n_stage = policy_subproblem(problem, pool, t, outcome, R_prev)
+    lp = None if held is None else held.get((t, outcome))
+    if lp is not None:
+        spec, n_stage = relink(lp[0], problem, t, outcome, R_prev), lp[1]
+    else:
+        spec, n_stage = policy_subproblem(problem, pool, t, outcome, R_prev)
+        if held is not None:
+            spec = replace(spec, factor=CarriedFactor())
+            held[(t, outcome)] = (spec, n_stage)
     # Three entries, so the key never equals a (t, info_index) pair.
     shape = ("shape", spec.n_rows, spec.n_cols)
     start = warm.get((t, info_index))

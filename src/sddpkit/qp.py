@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import NumericalBreakdown
 from .simplex import (
+    CarriedFactor,
     _Basis,
     _oriented_rows,
     _polish,
@@ -79,12 +80,19 @@ def _solve_qp_once(
 
     basis, x_b, feasible = _warm_basis(ext, bw, start_basis, n) or (None, None, False)
     if not feasible:
-        lp = solve_standard_lp(A, b, c, start_basis=start_basis)
+        # The starting LP orients A as this QP does: it starts from the
+        # start basis's inverse factorized above and leaves the fresh
+        # inverse of its final basis, which the QP takes over.
+        carry = CarriedFactor()
+        if basis is not None:
+            carry.keep(A, signs, basis)
+        lp = solve_standard_lp(A, b, c, start_basis=start_basis, carry=carry)
         if lp.status == "infeasible":
             return QpResult(status="infeasible")
         if lp.status == "unbounded" and lp.feasible_basis is None:
             return QpResult(status="unbounded")
-        basis = _Basis(ext, lp.basis if lp.status == "optimal" else lp.feasible_basis)
+        cols = lp.basis if lp.status == "optimal" else lp.feasible_basis
+        basis = _Basis(ext, cols, carry.take(A, signs, cols))
         x_b = np.maximum(basis.solve(bw), 0.0)
     y = np.zeros(n + m)
     y[basis.cols] = x_b

@@ -19,10 +19,25 @@ add about 3 us of Python.  The factorization calls LAPACK's ``dgetrf`` and
 ``scipy.linalg.lu_factor`` and ``lu_solve``, with the same results bit for
 bit, without their per-call argument handling.  A solve that breaks down
 numerically is retried once from a cold start.
+
+A solve can carry its basis factor to the next solve of the same matrix
+(``CarriedFactor``).  Every solve ends in ``_polish`` on a freshly
+factorized inverse; the next solve of that matrix from the same columns
+starts from this inverse instead of factorizing again.  That is exact
+because the extended matrix differs between the two solves only in the
+signs of rows (``_oriented_rows`` flips each row whose right-hand side is
+negative), and LU with partial pivoting is sign-symmetric: the pivot search
+compares magnitudes, so flipping row i of B flips row i of L and leaves
+every rounding unchanged, and the fresh inverse of the flipped basis is the
+old inverse with column i negated, bit for bit.  The inverse must stay in
+Fortran order, as ``dgetrs`` returns it: BLAS rounds ``inv @ v`` and
+``inv.T @ v`` differently over a C-ordered copy of the same numbers, and
+that moves pivots.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -71,10 +86,19 @@ class _Basis:
 
     PIVOT_REL = 1e-8
 
-    def __init__(self, matrix: np.ndarray, cols: np.ndarray):
+    def __init__(
+        self, matrix: np.ndarray, cols: np.ndarray, inv: np.ndarray | None = None
+    ):
+        """Factorize ``matrix[:, cols]``, or take ``inv``, which must be its
+        freshly factorized inverse (``CarriedFactor.take``)."""
         self.matrix = matrix
         self.cols = np.array(cols, dtype=int)
-        self.refactorize()
+        if inv is None:
+            self.refactorize()
+        else:
+            self._inv = inv
+            self._factored = self.cols.copy()
+            self._updates = 0
 
     @classmethod
     def pivot_floor(cls, direction: np.ndarray) -> float:
@@ -127,9 +151,45 @@ class _Basis:
             self.refactorize()
             return
         row_p = self._inv[pos] / direction[pos]
-        self._inv -= np.outer(direction, row_p)
+        # The outer product direction row_p', built transposed so that it
+        # shares the inverse's Fortran order: the same products, one
+        # contiguous pass.
+        self._inv -= (row_p[:, None] * direction).T
         self._inv[pos] = row_p
         self._updates += 1
+
+
+class CarriedFactor:
+    """The freshly factorized basis inverse a solve ended on, held for the
+    next solve of the same matrix ``A`` (the module docstring says why that
+    is exact).  ``A`` must not change in place while the factor is held."""
+
+    __slots__ = ("A", "cols", "signs", "inv")
+
+    def __init__(self):
+        self.A = self.cols = self.signs = self.inv = None
+
+    def keep(self, A: np.ndarray, signs: np.ndarray, basis: _Basis) -> None:
+        """Hold the inverse of ``basis``, which must be fresh, over the
+        extended matrix of ``A`` oriented by ``signs``.  A basis with an
+        artificial column is not held: its identity column does not flip
+        with its row."""
+        if basis.cols.max(initial=-1) < A.shape[1]:
+            self.A, self.cols, self.signs, self.inv = A, basis.cols, signs, basis._inv
+
+    def take(self, A: np.ndarray, signs: np.ndarray, cols) -> np.ndarray | None:
+        """The fresh inverse of the columns ``cols`` of ``A`` oriented by
+        ``signs``, if held; the caller owns it and the slot is emptied.
+        Otherwise ``None``."""
+        if self.inv is None or self.A is not A or not np.array_equal(cols, self.cols):
+            return None
+        inv = self.inv
+        flip = signs != self.signs
+        if flip.any():
+            # In place, so the inverse keeps its Fortran order.
+            inv[:, flip] = -inv[:, flip]
+        self.A = self.cols = self.signs = self.inv = None
+        return inv
 
 
 @dataclass
@@ -162,10 +222,10 @@ def _iterate(
     stall = 0
     best = np.inf
     enter_mask = np.zeros(matrix.shape[1], dtype=bool)
+    tol = 1e-9 * (1.0 + np.abs(cost).max(initial=0.0))
     for it in range(max_iter):
         mu = basis.solve_transpose(cost[basis.cols])
         reduced = cost - matrix.T @ mu
-        tol = 1e-9 * (1.0 + np.abs(cost).max(initial=0.0))
         enter_mask[:] = allowed
         enter_mask[basis.cols] = False
         enter_mask &= reduced < -tol
@@ -259,7 +319,10 @@ def _oriented_rows(A: np.ndarray, b: np.ndarray):
     both build their extended matrix here, so warm bases carry between them.
     """
     signs = np.where(b < 0.0, -1.0, 1.0)
-    ext = np.hstack([A * signs[:, None], np.eye(A.shape[0])])
+    m, n = A.shape
+    ext = np.zeros((m, n + m))
+    np.multiply(A, signs[:, None], out=ext[:, :n])
+    ext.reshape(-1)[n :: n + m + 1] = 1.0  # the identity block
     return signs, ext, b * signs
 
 
@@ -276,8 +339,15 @@ def _crash_basis(ext: np.ndarray, bw: np.ndarray, n: int) -> np.ndarray:
     return cols
 
 
-def _warm_basis(ext: np.ndarray, bw: np.ndarray, start_basis, n: int):
-    """Factorize a warm start on the extended matrix of ``_oriented_rows``.
+def _warm_basis(
+    ext: np.ndarray,
+    bw: np.ndarray,
+    start_basis,
+    n: int,
+    inv_of=None,
+):
+    """Factorize a warm start on the extended matrix of ``_oriented_rows``,
+    or take its fresh inverse from ``inv_of(cols)`` when that returns one.
 
     Returns ``(basis, x_b, feasible)``, with ``x_b`` the basic values at
     ``bw`` (clipped at zero when ``feasible``, that is when none is below
@@ -289,14 +359,16 @@ def _warm_basis(ext: np.ndarray, bw: np.ndarray, start_basis, n: int):
         return None
     m = bw.shape[0]
     cols = np.asarray(start_basis, dtype=int)
-    if not (
+    inv = None if inv_of is None else inv_of(cols)
+    # A held inverse vouches for its columns: they ended a solve.
+    if inv is None and not (
         cols.shape == (m,)
         and len(np.unique(cols)) == m
         and cols.min(initial=0) >= 0
         and cols.max(initial=-1) < n
     ):
         return None
-    basis = _Basis(ext, cols)
+    basis = _Basis(ext, cols, inv)
     x_b = basis.solve(bw)
     feasible = x_b.min(initial=0.0) >= -1e-9
     if feasible:
@@ -331,6 +403,7 @@ def solve_standard_lp(
     b: np.ndarray,
     c: np.ndarray,
     start_basis: np.ndarray | None = None,
+    carry: CarriedFactor | None = None,
 ) -> LpResult:
     """Solve a standard-form LP, returning a vertex primal and the matching
     basic dual solution.
@@ -340,11 +413,16 @@ def solve_standard_lp(
     moved); otherwise the solve is a two-phase cold start.  Every pivot
     follows the basis kernel's one pivot rule.  A numerical breakdown is
     retried once from a cold start before it propagates.
+
+    With ``carry``, a start basis whose fresh inverse ``carry`` holds for
+    this ``A`` starts from that inverse instead of a factorization, and the
+    solve leaves its own final inverse there.  The result is bit for bit
+    the one without ``carry``.
     """
     try:
-        return _solve_lp_once(A, b, c, start_basis)
+        return _solve_lp_once(A, b, c, start_basis, carry)
     except NumericalBreakdown:
-        return _solve_lp_once(A, b, c, None)
+        return _solve_lp_once(A, b, c, None, carry)
 
 
 def _solve_lp_once(
@@ -352,6 +430,7 @@ def _solve_lp_once(
     b: np.ndarray,
     c: np.ndarray,
     start_basis: np.ndarray | None,
+    carry: CarriedFactor | None,
 ) -> LpResult:
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -378,7 +457,9 @@ def _solve_lp_once(
 
     basis = None
     try:
-        warm = _warm_basis(ext, bw, start_basis, n)
+        warm = _warm_basis(
+            ext, bw, start_basis, n, None if carry is None else partial(carry.take, A, signs)
+        )
         if warm is not None:
             cand, x_b, feasible = warm
             if feasible:
@@ -434,6 +515,8 @@ def _solve_lp_once(
     if status == "unbounded":
         return LpResult(status="unbounded", feasible_basis=basis.cols.copy())
     x_b, mu = _polish(basis, bw, cost2[basis.cols])
+    if carry is not None:
+        carry.keep(A, signs, basis)
     scale_b = 1.0 + np.abs(bw).max(initial=0.0)
     final_resid = np.abs(ext[:, basis.cols] @ x_b - bw).max(initial=0.0)
     if final_resid > 1e-10 * scale_b:

@@ -1,6 +1,8 @@
 """Assembly of per-stage subproblems from problem data and cut pools."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .cuts import CutPool
@@ -24,11 +26,29 @@ def policy_subproblem(
     The terminal stage, ``pool=None`` and an empty family yield the bare LP.
     """
     real = problem.realization(t, outcome)
-    rhs = real.b.copy()
-    if t > 0:
-        r_prev = problem.resource_dims[t - 1]
-        rhs[:r_prev] -= np.asarray(R_prev, dtype=float)
-    spec = SubproblemSpec(c=real.c, A=real.A, rhs=rhs)
-    if pool is None or t >= problem.T:
-        return spec, spec.n_cols
-    return pool.embed(t, pool.info_index(t, outcome), spec, real.B), spec.n_cols
+    spec = SubproblemSpec(c=real.c, A=real.A, rhs=real.b)
+    n_stage = spec.n_cols
+    if pool is not None and t < problem.T:
+        spec = pool.embed(t, pool.info_index(t, outcome), spec, real.B)
+    return relink(spec, problem, t, outcome, R_prev), n_stage
+
+
+def relink(
+    spec: SubproblemSpec,
+    problem: MultistageProblem,
+    t: int,
+    outcome: int,
+    R_prev: np.ndarray | None,
+) -> SubproblemSpec:
+    """``spec``, a stage LP of :func:`policy_subproblem` at (t, outcome),
+    with the linking term of ``R_prev`` folded into its right-hand side in
+    place of the one it holds.  The matrix, the cost and the carried factor
+    stay the same objects."""
+    if t == 0:
+        return spec
+    r_prev = problem.resource_dims[t - 1]
+    rhs = spec.rhs.copy()
+    rhs[:r_prev] = problem.realization(t, outcome).b[:r_prev] - np.asarray(
+        R_prev, dtype=float
+    )
+    return replace(spec, rhs=rhs)

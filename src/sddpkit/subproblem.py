@@ -8,7 +8,7 @@ honor :class:`SubproblemSolver`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
@@ -29,12 +29,18 @@ class SolveStatus(enum.Enum):
 @dataclass(frozen=True)
 class SubproblemSpec:
     """Standard-form stage problem ``min c.y (+ rho/2 y'Hy) s.t. Ay = rhs,
-    y >= 0``.  Any linking contribution is already folded into ``rhs``."""
+    y >= 0``.  Any linking contribution is already folded into ``rhs``.
+
+    ``factor``, when set, is the slot in which the bundled solver carries
+    an LP's basis factor from one solve of this ``A`` to the next: specs
+    that share one slot must share the ``A`` object too, unchanged.  It
+    changes no result, and no replay file records it."""
 
     c: np.ndarray
     A: np.ndarray
     rhs: np.ndarray
     quad: tuple[float, np.ndarray] | None = None
+    factor: simplex.CarriedFactor | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
@@ -114,7 +120,7 @@ class BundledSolver:
     ) -> SubproblemSolution:
         if spec.quad is None or spec.quad[0] == 0.0:
             res = simplex.solve_standard_lp(
-                spec.A, spec.rhs, spec.c, start_basis=start_basis
+                spec.A, spec.rhs, spec.c, start_basis=start_basis, carry=spec.factor
             )
         else:
             rho, H = spec.quad

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sddpkit import engine
+from sddpkit import engine, oracle
 from sddpkit.cli import cli_main
 from sddpkit.errors import NumericalBreakdown
 from sddpkit.model import save_instance
@@ -542,6 +542,23 @@ def test_solve_checks_output_dirs_before_training(
     assert capsys.readouterr().err.splitlines() == [
         f"error: {missing} {outs[missing]}: directory {outs[missing].parent} "
         "does not exist"
+    ]
+    assert [p.name for p in tmp_path.iterdir()] == ["news.json"]
+
+
+def test_verify_checks_output_dir_before_loading(
+    tmp_path, news_file, capsys, monkeypatch
+):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("extensive form solved")
+
+    monkeypatch.setattr(oracle, "build_and_solve_extensive_form", no_oracle)
+    out = tmp_path / "missing" / "verify.txt"
+    # the cut file does not exist either: the output check comes first
+    argv = ["verify", str(news_file), str(tmp_path / "cuts.json"), "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --out {out}: directory {out.parent} does not exist"
     ]
     assert [p.name for p in tmp_path.iterdir()] == ["news.json"]
 

@@ -281,3 +281,37 @@ def test_for_problem_layout_and_info_index():
     assert markov.info_index(chain.T - 1, last) == last
     assert markov.info_index(chain.T, last) == 0  # stage T keeps no family
     assert CutPool(resource_dims=(1, 1), n_info=(1, 1)).info_index(1, 2) == 0
+
+
+def test_growing_stack_rounds_as_a_fresh_stack():
+    # Cuts are embedded between additions, as in training.  The stacked
+    # slopes and offsets, the embedded rows and the evaluated maximum must
+    # equal, bit for bit, those computed from freshly stacked arrays.
+    rng = np.random.default_rng(12)
+    for dim in (1, 5, 10, 20):
+        pool = CutPool(resource_dims=[dim], n_info=[1])
+        B = rng.standard_normal((dim, 7))
+        spec = SubproblemSpec(c=np.ones(7), A=rng.standard_normal((3, 7)), rhs=np.ones(3))
+        for k in range(1, 40):
+            scale = 10.0 ** rng.uniform(-3.0, 5.0)
+            pool.add_cut(
+                0,
+                0,
+                Cut(
+                    alpha=1e4 * rng.standard_normal(),
+                    beta=scale * rng.standard_normal(dim),
+                    anchor=rng.uniform(0.0, 10.0, dim),
+                    born_iteration=k,
+                ),
+            )
+            cuts = pool.cuts_at(0, 0)
+            betas = np.array([c.beta for c in cuts])
+            anchors = np.array([c.anchor for c in cuts])
+            offsets = np.array([c.alpha for c in cuts]) - np.einsum(
+                "ij,ij->i", betas, anchors
+            )
+            embedded = pool.embed(0, 0, spec, B)
+            assert np.array_equal(embedded.A[3:, :7], -(betas @ B))
+            assert np.array_equal(embedded.rhs[3:], offsets)
+            R = rng.uniform(0.0, 10.0, dim)
+            assert pool.evaluate(0, 0, R) == float((offsets + betas @ R).max())

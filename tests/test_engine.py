@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sddpkit import engine
+from sddpkit import engine, simplex
 from sddpkit.cuts import Cut, CutPool
 from sddpkit.engine import (
     EngineConfig,
@@ -397,6 +399,39 @@ def test_warm_policy_simulation_across_families_matches_cold(monkeypatch):
     assert sibling >= 1 and earlier >= 1
     assert sum(start is None for *_, start, _ in records) <= 3
     assert_matches_cold(p, pool, records)
+
+
+def test_carried_factors_give_the_bits_of_fresh_solves(monkeypatch):
+    # Each (stage, outcome) LP of a simulation carries the factor its last
+    # solve ended on.  Every recorded solve, repeated from the same start
+    # with fresh factorizations only, must return the same bits.
+    p = storage_instance()
+    pool, _ = run(p, EngineConfig(iterations=6, seed=0, ub_every=0))
+    factorizations = []
+    inner = simplex.lu_factor
+
+    def counted(a):
+        factorizations.append(a.shape[0])
+        return inner(a)
+
+    monkeypatch.setattr(simplex, "lu_factor", counted)
+    records = simulate_recorded(monkeypatch, p, pool, 6, 4)  # undoes the patch
+    carried_run = len(factorizations)
+    monkeypatch.setattr(simplex, "lu_factor", counted)
+    last = {}
+    carried = 0
+    for t, _, _, outcome, _, spec, start, sol in records:
+        assert spec.factor is not None
+        carried += start is not None and np.array_equal(start, last.get((t, outcome)))
+        last[(t, outcome)] = sol.basis
+        fresh = BundledSolver().solve(replace(spec, factor=None), start)
+        assert np.array_equal(fresh.y, sol.y)
+        assert np.array_equal(fresh.duals, sol.duals)
+        assert np.array_equal(fresh.basis, sol.basis)
+        assert fresh.objective == sol.objective
+    assert carried >= len(records) // 2
+    # the fresh solves factorized every start the simulation carried
+    assert len(factorizations) - carried_run >= carried_run + carried
 
 
 def test_regularized_qp_starts_from_its_cut_familys_lp_basis(monkeypatch):

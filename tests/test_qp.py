@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sddpkit import qp
+from sddpkit import qp, simplex
 from sddpkit.errors import NumericalBreakdown
 from sddpkit.qp import solve_standard_qp
 from sddpkit.simplex import solve_standard_lp
@@ -184,3 +184,48 @@ def test_qp_deterministic():
     second = solve_standard_qp(A, b, c, G)
     assert np.array_equal(first.x, second.x)
     assert first.objective == second.objective
+
+
+def test_infeasible_start_carries_factors_through_the_starting_lp(monkeypatch):
+    # A start basis that is primal infeasible sends the QP to its starting
+    # LP.  The LP starts from the inverse the QP factorized for that basis,
+    # and the QP takes over the LP's final inverse; with every factor
+    # computed fresh instead, the result has the same bits.
+    rng = np.random.default_rng(4)
+    cases = []
+    for seed in range(60):
+        A, b, c = random_bounded_lp(seed + 700, m=5, n=9)
+        vertex = solve_standard_lp(A, b, rng.standard_normal(9))
+        if vertex.status != "optimal" or vertex.basis.max() >= 9:
+            continue
+        b_new = b + rng.standard_normal(5)
+        _, ext, bw = simplex._oriented_rows(A, b_new)
+        warm = simplex._warm_basis(ext, bw, vertex.basis, 9)
+        if warm is not None and not warm[2]:
+            M = rng.standard_normal((3, 9))
+            cases.append((A, b_new, c, M.T @ M, vertex.basis))
+    assert len(cases) >= 10
+
+    factorizations = []
+    inner = simplex.lu_factor
+
+    def counted(a):
+        factorizations.append(a.shape[0])
+        return inner(a)
+
+    monkeypatch.setattr(simplex, "lu_factor", counted)
+    results = [solve_standard_qp(*case) for case in cases]
+    n_carried = len(factorizations)
+    monkeypatch.setattr(simplex.CarriedFactor, "take", lambda self, *args: None)
+    factorizations.clear()
+    for case, res in zip(cases, results):
+        fresh = solve_standard_qp(*case)
+        assert res.status == fresh.status
+        if res.status != "optimal":
+            continue
+        for name in ("x", "duals", "reduced_costs", "basis"):
+            assert np.array_equal(getattr(res, name), getattr(fresh, name)), name
+        assert res.objective == fresh.objective
+        assert res.n_superbasic == fresh.n_superbasic
+    # two factorizations saved per QP: the LP's start and the QP's restart
+    assert n_carried <= len(factorizations) - 2 * len(cases)

@@ -258,3 +258,68 @@ def test_exactly_singular_basis_raises_without_warning():
         warnings.simplefilter("error")
         with pytest.raises(simplex.SingularBasis):
             simplex._Basis(matrix, [0, 1])
+
+
+def assert_same_lp_result(a, b):
+    assert a.status == b.status == "optimal"
+    for name in ("x", "duals", "reduced_costs", "basis"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.objective == b.objective
+
+
+def test_carried_factor_follows_row_flips_in_fortran_order(monkeypatch):
+    # Slack pairs make every right-hand side feasible, so the rows can
+    # change sign between two solves of one LP; the start basis is the one
+    # the first solve ended on, so its inverse is carried, with the columns
+    # of the flipped rows negated.
+    rng = np.random.default_rng(5)
+    m, k = 7, 5
+    A = np.hstack([rng.standard_normal((m, k)), np.eye(m), -np.eye(m)])
+    c = np.concatenate([rng.uniform(-1.0, 0.0, k), rng.uniform(1.0, 2.0, 2 * m)])
+    A = np.vstack([A, np.concatenate([np.ones(k), np.zeros(2 * m)])])
+    A = np.hstack([A, np.eye(m + 1)[:, -1:]])  # x sum + s = 4
+    c = np.append(c, 0.0)
+    b1 = np.append(rng.standard_normal(m), 4.0)
+    b2 = b1.copy()
+    b2[[0, 2, 3]] *= -1.0
+    carry = simplex.CarriedFactor()
+    first = solve_standard_lp(A, b1, c, carry=carry)
+    assert first.status == "optimal" and carry.inv is not None
+
+    signs2, ext2, _ = simplex._oriented_rows(A, b2)
+    assert (signs2 != carry.signs).sum() >= 2
+    inv = carry.take(A, signs2, first.basis)
+    assert inv.flags.f_contiguous
+    assert np.array_equal(inv, simplex._Basis(ext2, first.basis)._inv)
+    assert carry.inv is None
+
+    # A solve with the carried factor returns the bits of one without it,
+    # and factorizes less.
+    factorizations = []
+    inner = simplex.lu_factor
+
+    def counted(a):
+        factorizations.append(a.shape[0])
+        return inner(a)
+
+    monkeypatch.setattr(simplex, "lu_factor", counted)
+    solve_standard_lp(A, b1, c, start_basis=first.basis, carry=carry)
+    factorizations.clear()
+    carried = solve_standard_lp(A, b2, c, start_basis=first.basis, carry=carry)
+    n_carried = len(factorizations)
+    fresh = solve_standard_lp(A, b2, c, start_basis=first.basis)
+    assert_same_lp_result(carried, fresh)
+    assert n_carried < len(factorizations) - n_carried
+    # the carry now holds the fresh factor of the final basis
+    assert np.array_equal(carry.cols, carried.basis)
+    assert carry.inv.flags.f_contiguous
+
+
+def test_carried_factor_needs_the_same_matrix_object():
+    A, b, c = random_bounded_lp(9, m=5, n=9)
+    carry = simplex.CarriedFactor()
+    res = solve_standard_lp(A, b, c, carry=carry)
+    signs, _, _ = simplex._oriented_rows(A, b)
+    assert carry.take(A.copy(), signs, res.basis) is None
+    assert carry.take(A, signs, res.basis[::-1]) is None
+    assert carry.take(A, signs, res.basis) is not None
