@@ -43,6 +43,16 @@ class Cut:
         ):
             raise ValueError("cut entries must be finite")
 
+    @classmethod
+    def _checked(cls, alpha: float, beta, anchor, born_iteration: int) -> "Cut":
+        """A cut from entries the caller has already converted and checked,
+        without running those checks again."""
+        cut = object.__new__(cls)
+        cut.__dict__.update(
+            alpha=alpha, beta=beta, anchor=anchor, born_iteration=born_iteration
+        )
+        return cut
+
     def same_as(self, other: "Cut") -> bool:
         return (
             self.alpha == other.alpha
@@ -76,6 +86,18 @@ class _Bucket:
             cut.alpha - np.einsum("ij,ij->i", cut.beta[None], cut.anchor[None])[0]
         )
         self.cuts.append(cut)
+
+    def fill(self, alphas, betas: np.ndarray, anchors: np.ndarray, born) -> None:
+        """Load an empty bucket with one family of checked entries: row i of
+        ``betas`` and ``anchors`` (C-ordered ``k x r`` arrays) with
+        ``alphas[i]`` and ``born[i]``.  The offsets come from one einsum over
+        the family, which rounds each row as ``add`` does."""
+        self._betas = betas
+        self._offsets = alphas - np.einsum("ij,ij->i", betas, anchors)
+        self.cuts = [
+            Cut._checked(a, beta, anchor, k)
+            for a, beta, anchor, k in zip(alphas.tolist(), betas, anchors, born)
+        ]
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """Slopes and offsets of a bucket that holds at least one cut."""
@@ -134,12 +156,15 @@ class CutPool:
                 for cut in bucket.cuts:
                     yield t, info, cut
 
-    def add_cut(self, t: int, info_index: int, cut: Cut) -> None:
+    def _check_family(self, t: int, info_index: int) -> None:
         if not (0 <= t < self.n_stages and 0 <= info_index < self.n_info[t]):
             raise DimensionMismatch(
                 f"no cut family {info_index} at stage {t}: the pool has "
                 f"families {list(self.n_info)} at stages 0..{self.n_stages - 1}"
             )
+
+    def add_cut(self, t: int, info_index: int, cut: Cut) -> None:
+        self._check_family(t, info_index)
         if cut.beta.shape[0] != self.resource_dims[t]:
             raise DimensionMismatch(
                 f"cut slope has dimension {cut.beta.shape[0]}, stage {t} "
@@ -240,18 +265,44 @@ class CutPool:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "CutPool":
+        """The pool of a ``to_obj`` object, loaded one family at a time: one
+        array each of intercepts, slopes and anchors per (stage, information
+        state), checked as a whole.  A family that fails those checks is
+        loaded cut by cut, which raises the error of its first bad cut."""
         pool = cls(resource_dims=obj["resource_dims"], n_info=obj["n_info"])
+        families: dict = {}
         for rec in obj["cuts"]:
-            pool.add_cut(
-                int(rec["t"]),
-                int(rec["info"]),
-                Cut(
-                    alpha=rec["alpha"],
-                    beta=np.array(rec["beta"], dtype=float),
-                    anchor=np.array(rec["anchor"], dtype=float),
-                    born_iteration=rec["born_iteration"],
-                ),
-            )
+            families.setdefault((int(rec["t"]), int(rec["info"])), []).append(rec)
+        for (t, info), recs in families.items():
+            pool._check_family(t, info)
+            try:
+                alphas = np.array([rec["alpha"] for rec in recs], dtype=float)
+                betas = np.array([rec["beta"] for rec in recs], dtype=float)
+                anchors = np.array([rec["anchor"] for rec in recs], dtype=float)
+                born = [int(rec["born_iteration"]) for rec in recs]
+            except (TypeError, ValueError, OverflowError):
+                alphas = None
+            if (
+                alphas is not None
+                and alphas.shape == (len(recs),)
+                and betas.shape == anchors.shape == (len(recs), pool.resource_dims[t])
+                and np.isfinite(alphas).all()
+                and np.isfinite(betas).all()
+                and np.isfinite(anchors).all()
+            ):
+                pool._buckets[t][info].fill(alphas, betas, anchors, born)
+                continue
+            for rec in recs:
+                pool.add_cut(
+                    t,
+                    info,
+                    Cut(
+                        alpha=rec["alpha"],
+                        beta=np.array(rec["beta"], dtype=float),
+                        anchor=np.array(rec["anchor"], dtype=float),
+                        born_iteration=rec["born_iteration"],
+                    ),
+                )
         return pool
 
     def save(self, path) -> None:

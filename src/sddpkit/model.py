@@ -366,19 +366,36 @@ def enumerate_paths(problem: MultistageProblem, max_paths: int) -> list[Scenario
 # --- instance file format -------------------------------------------------
 
 def matrix_to_obj(mat: np.ndarray) -> dict:
-    """Dense row-major encoding with explicit dimensions (rows may be 0)."""
+    """Dense row-major encoding with explicit dimensions (rows may be 0).
+    ``data`` stays an array: ``write_json`` turns it into floats only while
+    it writes it."""
     return {
         "rows": int(mat.shape[0]),
         "cols": int(mat.shape[1]),
-        "data": mat.ravel(order="C").tolist(),
+        "data": mat.ravel(order="C"),
     }
 
 
+def _matrix_hook(obj: dict) -> dict:
+    """``object_hook`` of the instance reader: the ``data`` list of a
+    ``{rows, cols, data}`` object becomes an array as soon as the parser
+    closes the object, so at most one matrix is held as Python floats.  A
+    list that does not convert stays, for ``matrix_from_obj`` to reject."""
+    if obj.keys() == {"rows", "cols", "data"} and type(obj["data"]) is list:
+        try:
+            obj["data"] = np.array(obj["data"], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return obj
+
+
 def matrix_from_obj(obj: dict) -> np.ndarray:
+    """The matrix of a ``matrix_to_obj`` object; a wrong entry count raises
+    ``ValueError``, which the file readers report with the file's name."""
     rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = np.array(obj["data"], dtype=float)
+    data = np.asarray(obj["data"], dtype=float)
     if data.size != rows * cols:
-        raise MalformedFileError(
+        raise ValueError(
             f"matrix data has {data.size} entries, expected {rows}x{cols}"
         )
     return data.reshape(rows, cols)
@@ -388,8 +405,8 @@ def _realization_to_obj(real: StageRealization) -> dict:
     return {
         "A": matrix_to_obj(real.A),
         "B": matrix_to_obj(real.B),
-        "b": real.b.tolist(),
-        "c": real.c.tolist(),
+        "b": real.b,
+        "c": real.c,
     }
 
 
@@ -411,9 +428,9 @@ def problem_to_obj(problem: MultistageProblem) -> dict:
         ],
     }
     if proc.kind is ProcessKind.STAGEWISE_INDEPENDENT:
-        proc_obj["probs"] = [p.tolist() for p in proc.probs]
+        proc_obj["probs"] = list(proc.probs)
     else:
-        proc_obj["initial"] = proc.initial.tolist()
+        proc_obj["initial"] = proc.initial
         proc_obj["transitions"] = [matrix_to_obj(P) for P in proc.transitions]
     return {
         "T": problem.T,
@@ -474,11 +491,18 @@ def _scalar_list(inner: str):
     return json.JSONEncoder(separators=(",\n" + inner, ": "), allow_nan=False).encode
 
 
+_CONTAINERS = (dict, list, tuple, np.ndarray)
+
+
 def _encode(write, obj, pad: str) -> None:
     """Write ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True,
-    allow_nan=False)`` writes it at indent ``pad``.  Containers of containers
-    recurse here; a list of scalars goes to the C encoder in one call."""
+    allow_nan=False)`` writes it at indent ``pad``, an ``ndarray`` as its
+    ``tolist()``.  Containers of containers recurse here; a list of scalars
+    goes to the C encoder in one call.  An array becomes Python objects only
+    here, just before it is written, so one at a time exists as such."""
     inner = pad + "  "
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict) and obj:
         for k, (key, value) in enumerate(sorted(obj.items())):
             if type(key) is str:
@@ -489,7 +513,7 @@ def _encode(write, obj, pad: str) -> None:
             _encode(write, value, inner)
         write("\n" + pad + "}")
     elif isinstance(obj, (list, tuple)) and obj:
-        if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, obj))):
+        if any(issubclass(t, _CONTAINERS) for t in set(map(type, obj))):
             for k, item in enumerate(obj):
                 write(("," if k else "[") + "\n" + inner)
                 _encode(write, item, inner)
@@ -525,13 +549,14 @@ def write_json(path, fmt: str, version: int, body: dict) -> None:
         raise
 
 
-def load_json(path, what: str, from_obj):
+def load_json(path, what: str, from_obj, object_hook=None):
     """``from_obj(value)`` of the JSON value in ``path``, ``what`` naming
     its kind in errors: bad JSON, or a ``KeyError``, ``IndexError``,
     ``TypeError`` or ``ValueError`` from ``from_obj``, raises
-    :class:`MalformedFileError` naming the file."""
+    :class:`MalformedFileError` naming the file.  ``object_hook`` goes to
+    the parser (``json.loads``)."""
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(), object_hook=object_hook)
     except json.JSONDecodeError as exc:
         raise MalformedFileError(f"cannot parse {what} file {path}: {exc}") from exc
     try:
@@ -540,7 +565,7 @@ def load_json(path, what: str, from_obj):
         raise MalformedFileError(f"{what} file {path} is malformed: {exc}") from exc
 
 
-def read_json(path, fmt: str, version: int, what: str, from_obj):
+def read_json(path, fmt: str, version: int, what: str, from_obj, object_hook=None):
     """``from_obj(body)`` of a :func:`write_json` file, read through
     :func:`load_json`: a wrong header raises :class:`FormatVersionError`,
     and a non-object :class:`MalformedFileError`."""
@@ -555,7 +580,7 @@ def read_json(path, fmt: str, version: int, what: str, from_obj):
             )
         return from_obj(body)
 
-    return load_json(path, what, from_file)
+    return load_json(path, what, from_file, object_hook)
 
 
 def save_instance(problem: MultistageProblem, path) -> None:
@@ -563,6 +588,13 @@ def save_instance(problem: MultistageProblem, path) -> None:
 
 
 def load_instance(path) -> MultistageProblem:
+    """The instance in ``path``; its matrices are built while it is parsed
+    (``_matrix_hook``)."""
     return read_json(
-        path, INSTANCE_FORMAT, INSTANCE_VERSION, "instance", problem_from_obj
+        path,
+        INSTANCE_FORMAT,
+        INSTANCE_VERSION,
+        "instance",
+        problem_from_obj,
+        _matrix_hook,
     )

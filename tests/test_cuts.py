@@ -315,3 +315,61 @@ def test_growing_stack_rounds_as_a_fresh_stack():
             assert np.array_equal(embedded.rhs[3:], offsets)
             R = rng.uniform(0.0, 10.0, dim)
             assert pool.evaluate(0, 0, R) == float((offsets + betas @ R).max())
+
+
+def test_loaded_families_stack_the_bits_of_added_cuts(tmp_path):
+    # A cut file is loaded one family at a time, the offsets from one einsum
+    # over the family; they must equal, bit for bit, those of a pool built
+    # cut by cut.
+    rng = np.random.default_rng(21)
+    for dim in (1, 3, 10, 20):
+        pool = CutPool(resource_dims=(dim, dim), n_info=(1, 3))
+        for k in range(60):
+            t, info = (0, 0) if k % 4 == 0 else (1, k % 3)
+            pool.add_cut(
+                t,
+                info,
+                Cut(
+                    alpha=1e4 * rng.standard_normal(),
+                    beta=10.0 ** rng.uniform(-3.0, 5.0) * rng.standard_normal(dim),
+                    anchor=rng.uniform(0.0, 10.0, dim),
+                    born_iteration=k,
+                ),
+            )
+        path = tmp_path / f"cuts{dim}.json"
+        pool.save(path)
+        loaded = load_cuts(path)
+        assert loaded.same_as(pool)
+        for t, info in ((0, 0), (1, 0), (1, 1), (1, 2)):
+            mine = loaded._buckets[t][info].stacked()
+            theirs = pool._buckets[t][info].stacked()
+            assert mine[0].tobytes() == theirs[0].tobytes()
+            assert mine[1].tobytes() == theirs[1].tobytes()
+        assert loaded._buckets[1][0].stacked()[0].flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "edit, error, message",
+    [
+        (lambda rec: rec.update(beta=rec["beta"] + [1.0]), DimensionMismatch, "equal-length"),
+        (
+            lambda rec: rec.update(beta=rec["beta"] + [1.0], anchor=rec["anchor"] + [1.0]),
+            DimensionMismatch,
+            "dimension",
+        ),
+        (lambda rec: rec.update(alpha=float("inf")), MalformedFileError, "finite"),
+        (lambda rec: rec["anchor"].__setitem__(0, float("nan")), MalformedFileError, "finite"),
+    ],
+    ids=["ragged-slope", "wrong-dimension", "inf-alpha", "nan-anchor"],
+)
+def test_bad_cut_in_a_family_raises_its_error(tmp_path, edit, error, message):
+    pool = CutPool(resource_dims=(2,), n_info=(1,))
+    for k in range(4):
+        pool.add_cut(0, 0, Cut(1.0 + k, np.ones(2), np.zeros(2), k))
+    path = tmp_path / "cuts.json"
+    pool.save(path)
+    obj = json.loads(path.read_text())
+    edit(obj["cuts"][2])
+    path.write_text(json.dumps(obj))
+    with pytest.raises(error, match=message):
+        load_cuts(path)

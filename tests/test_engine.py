@@ -303,9 +303,24 @@ class RecordsCalls(BundledSolver):
         return sol
 
 
+def tree_nodes(p, n_paths, seed) -> list[tuple[int, ...]]:
+    """The nodes of the tree that ``estimate_upper_bound`` samples with
+    ``n_paths`` and ``default_rng(seed)``, as outcome prefixes in the order
+    the paths first reach them."""
+    rng = np.random.default_rng(seed)
+    nodes: dict = {}
+    for _ in range(n_paths):
+        path = sample_path(p, rng)
+        for t in range(p.T + 1):
+            nodes.setdefault(path.indices[:t])
+    return list(nodes)
+
+
 def simulate_recorded(monkeypatch, p, pool, n_paths, seed):
     """Run the policy simulation and return one record per policy solve:
-    ``(t, info, R_prev, outcome, objective, spec, start, solution)``."""
+    ``(t, info, R_prev, outcome, objective, spec, start, solution)``.  The
+    simulation solves each node of its sampled tree once, in the order the
+    paths reach them."""
     steps = []
     inner = engine.policy_decision
 
@@ -319,8 +334,50 @@ def simulate_recorded(monkeypatch, p, pool, n_paths, seed):
     rng = np.random.default_rng(seed)
     estimate_upper_bound(p, pool, n_paths, rng, config=EngineConfig(solver=solver))
     monkeypatch.undo()
-    assert len(steps) == len(solver.calls) == n_paths * (p.T + 1)
+    nodes = tree_nodes(p, n_paths, seed)
+    assert len(steps) == len(solver.calls) == len(nodes)
+    assert [(t, outcome) for t, _, _, outcome, _ in steps] == [
+        (len(node), node[-1] if node else -1) for node in nodes
+    ]
     return [step + call for step, call in zip(steps, solver.calls)]
+
+
+def test_paths_through_a_node_share_its_solve(monkeypatch):
+    # A sticky regime chain: the 12 paths share their first stages.  Each
+    # path must add the stage costs of the solves made at its nodes, and
+    # each solve must start from the resource its parent node's solve left.
+    p = storage_instance()
+    pool, _ = run(p, EngineConfig(iterations=6, seed=0, ub_every=0))
+    steps = []
+    inner = engine.policy_decision
+
+    def recording(problem, pool, t, outcome, R_prev, **kwargs):
+        step = inner(problem, pool, t, outcome, R_prev, **kwargs)
+        steps.append((R_prev, step))
+        return step
+
+    monkeypatch.setattr(engine, "policy_decision", recording)
+    mean, _ = estimate_upper_bound(p, pool, 12, np.random.default_rng(5))
+    nodes = tree_nodes(p, 12, 5)
+    assert len(steps) == len(nodes) < 12 * (p.T + 1)
+    solved = dict(zip(nodes, steps))
+    rng = np.random.default_rng(5)
+    totals = []
+    for _ in range(12):
+        path = sample_path(p, rng)
+        total = 0.0
+        for t in range(p.T + 1):
+            R_prev, step = solved[path.indices[:t]]
+            if t == 0:
+                assert R_prev is None
+            else:
+                _, parent = solved[path.indices[: t - 1]]
+                outcome = path.indices[t - 2] if t > 1 else -1
+                assert np.array_equal(R_prev, p.realization(t - 1, outcome).B @ parent.x)
+            total += step.stage_cost
+        totals.append(total)
+    assert len(set(totals)) > 1
+    assert mean == float(np.array(totals).mean())
 
 
 def check_start_rule(records) -> tuple[int, int]:
@@ -415,7 +472,7 @@ def test_carried_factors_give_the_bits_of_fresh_solves(monkeypatch):
         return inner(a)
 
     monkeypatch.setattr(simplex, "lu_factor", counted)
-    records = simulate_recorded(monkeypatch, p, pool, 6, 4)  # undoes the patch
+    records = simulate_recorded(monkeypatch, p, pool, 12, 4)  # undoes the patch
     carried_run = len(factorizations)
     monkeypatch.setattr(simplex, "lu_factor", counted)
     last = {}

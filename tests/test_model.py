@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -257,9 +258,19 @@ def test_load_rejects_wrong_version(tmp_path):
         load_instance(path)
 
 
+def _array_as_list(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def canonical(obj) -> bytes:
-    """The canonical text that ``write_json`` must reproduce byte for byte."""
-    return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+    """The canonical text that ``write_json`` must reproduce byte for byte;
+    an array is written as its ``tolist()``."""
+    text = json.dumps(
+        obj, indent=2, sort_keys=True, allow_nan=False, default=_array_as_list
+    )
+    return (text + "\n").encode()
 
 
 def _write_cut_file(path):
@@ -329,6 +340,13 @@ def test_every_file_is_the_canonical_text(tmp_path, monkeypatch, module, write):
         [1, [2, [3, {"k": [4.5]}]], "x"],
         {"z": 1, "a": {"y": [1.5, None], "b": {"": True}}},
         {2.5: "float key", 1: "int key", -3: []},
+        np.array([0.1, -2.5, 5e-324, -0.0]),
+        np.arange(4),
+        np.arange(6.0).reshape(2, 3) / 7.0,
+        np.zeros((0, 3)),
+        np.array(2.5),
+        [np.ones(2), {"m": np.eye(2), "v": np.array([])}, [np.array([1.5])]],
+        {"rows": 1, "cols": 3, "data": np.array([1.0, 2.0, 3.0])},
     ],
 )
 def test_write_json_matches_json_dumps(tmp_path, value):
@@ -345,14 +363,15 @@ def test_write_json_matches_json_dumps(tmp_path, value):
         ({"deep": [[0.5, -float("inf")]]}, ValueError),
         (np.int64(3), TypeError),
         ([1, np.int64(3)], TypeError),
+        ([np.array([1.0, float("nan")])], ValueError),
     ],
-    ids=["nan", "inf-in-list", "nested-inf", "int64", "int64-in-list"],
+    ids=["nan", "inf-in-list", "nested-inf", "int64", "int64-in-list", "nan-in-array"],
 )
 def test_failed_write_keeps_the_old_file(tmp_path, value, error):
     # As json.dumps does, the writer raises; the target keeps its old bytes
     # and no temporary file is left beside it.
     with pytest.raises(error):
-        json.dumps(value, allow_nan=False)
+        json.dumps(value, allow_nan=False, default=_array_as_list)
     path = tmp_path / "out.json"
     model.write_json(path, "test", 1, {"value": [1.0, 2.0]})
     old = path.read_bytes()
@@ -360,3 +379,48 @@ def test_failed_write_keeps_the_old_file(tmp_path, value, error):
         model.write_json(path, "test", 1, {"a": list(range(1000)), "value": value})
     assert path.read_bytes() == old
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+
+def test_instance_write_and_read_hold_no_float_list_of_the_file(tmp_path):
+    # The writer turns one array at a time into Python floats, and the
+    # reader builds each matrix as soon as its object is parsed.  What the
+    # reader still holds at its peak is the text, as bytes and as str.
+    params = StorageNetworkParams(n_storage=10, T=24, n_regimes=3)
+    problem = generate_storage_instance(params, np.random.default_rng(10))
+    path = tmp_path / "inst.json"  # 8.4 MB
+    tracemalloc.start()
+    try:
+        save_instance(problem, path)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        size = path.stat().st_size
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_instance(path)
+        load_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert size > 8e6
+    assert save_peak <= 0.25 * size
+    assert load_peak <= 2.25 * size
+    assert np.array_equal(loaded.stage0.A, problem.stage0.A)
+    real = loaded.process.outcomes[-1][-1]
+    assert real.A.flags.c_contiguous and real.A.dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda A: A["data"].__setitem__(0, "one"),
+        lambda A: A.__setitem__("data", [A["data"], []]),
+        lambda A: A["data"].append(1.0),
+    ],
+    ids=["string-entry", "ragged-data", "wrong-entry-count"],
+)
+def test_malformed_matrix_data_names_the_file(tmp_path, edit):
+    path = tmp_path / "inst.json"
+    save_instance(newsvendor(), path)
+    obj = json.loads(path.read_text())
+    edit(obj["process"]["outcomes"][0][0]["A"])
+    path.write_text(json.dumps(obj))
+    with pytest.raises(MalformedFileError, match="inst.json"):
+        load_instance(path)
