@@ -12,7 +12,7 @@ trajectory.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,7 @@ from .errors import (
     ResidualCheckError,
 )
 from .model import MultistageProblem, ScenarioPath, sample_path, validate
-from .simplex import CarriedFactor
-from .stages import policy_subproblem, relink
+from .stages import StageLP, policy_subproblem
 from .subproblem import (
     BundledSolver,
     SolveStatus,
@@ -168,7 +167,8 @@ class PolicyDecision:
 
 
 class SddpState:
-    """Mutable run state: cut pool, incumbents, rng, report, warm bases."""
+    """Mutable run state: cut pool, incumbents, rng, report, and the stage
+    LP of each (stage, outcome)."""
 
     def __init__(self, problem: MultistageProblem, config: EngineConfig):
         self.problem = problem
@@ -181,7 +181,10 @@ class SddpState:
         self.rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
         self.ub_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
         self.report = SolveReport()
-        self.warm: dict = {}
+        self.lps = {(0, -1): StageLP(problem, 0, -1)}
+        for t in range(1, problem.T + 1):
+            for o in range(problem.process.n_outcomes(t)):
+                self.lps[(t, o)] = StageLP(problem, t, o)
 
 
 def _resolve_q(problem: MultistageProblem, q_scale) -> list[np.ndarray]:
@@ -231,8 +234,9 @@ def _solve_spec(
     """The engine's one call into the solver, with its hard-error policy:
     every failure names the stage and outcome (and the training iteration,
     when given) and, with ``debug_dump`` set, writes the spec and ``start``
-    to ``subproblem_<key>.json`` for replay.  The key is also the warm-start
-    key, so the iteration goes into the dump's context, not its name."""
+    to ``subproblem_<key>.json`` for replay.  The key also names the role
+    whose basis a stage LP keeps, so the iteration goes into the dump's
+    context, not its name."""
     where = f"stage {t} outcome {outcome}"
     if iteration is not None:
         where = f"iteration {iteration} {where}"
@@ -283,27 +287,24 @@ def _stage_solve(
     key,
     k: int,
     myopic: bool = False,
-) -> tuple[SubproblemSolution, int, float]:
+) -> tuple[SubproblemSolution, StageLP, float]:
     """Build (without cuts when ``myopic``), (optionally) regularize and
-    solve the stage problem.  An LP is warm started from the basis last
-    stored under ``key`` and stores its own there; a regularized QP starts
-    from its cut family's last LP basis.
+    solve the stage problem.  An LP is warm started from the basis its
+    stage LP last kept for the role ``key[0]`` and keeps its own there; a
+    regularized QP starts from its cut family's last LP basis.
 
-    Returns (solution, stage variable count, objective constant omitted by
-    the solver).
+    Returns (solution, stage LP, objective constant omitted by the solver).
     """
     problem = state.problem
-    spec, n_stage = policy_subproblem(
-        problem, None if myopic else state.pool, t, outcome, R_prev
-    )
+    lp = state.lps[(t, outcome)]
+    spec = policy_subproblem(lp, None if myopic else state.pool, R_prev)
     const = 0.0
-    start_key = key
+    role = key[0]
     if rho > 0.0 and t < problem.T:
-        real = problem.realization(t, outcome)
         q = state.q_mats[t]
         incumbent = state.incumbents[t]
-        B_pad = np.zeros((real.B.shape[0], spec.n_cols))
-        B_pad[:, : real.B.shape[1]] = real.B
+        B_pad = np.zeros((lp.real.B.shape[0], spec.n_cols))
+        B_pad[:, : lp.n_stage] = lp.real.B
         H = B_pad.T @ q @ B_pad
         # Tiny strictly-convex floor: keeps the stage QP nondegenerate (a
         # unique minimizer even where the cut model is flat) at a relative
@@ -316,25 +317,18 @@ def _stage_solve(
         # backward pass (the lower bound at t = 0) solved it with the same
         # cut rows at an anchor the penalty keeps the state near, so its
         # basis is often primal feasible here and the QP skips its LP.
-        start_key = ("b", t, outcome) if t >= 1 else ("lb",)
-    start = state.warm.get(start_key)
-    # Cut rows only grow: the surplus slacks of the newer rows complete the
-    # stored basis.  The simplex rejects a start of any other row count.
-    if start is not None and start.shape[0] < spec.n_rows:
-        extra = spec.n_rows - start.shape[0]
-        new_slacks = np.arange(spec.n_cols - extra, spec.n_cols)
-        start = np.concatenate([start, new_slacks])
-    sol = _solve_spec(state.config, spec, key, t, outcome, start, k)
+        role = "b" if t >= 1 else "lb"
+    sol = _solve_spec(state.config, spec, key, t, outcome, lp.start(role, spec), k)
     if spec.quad is None:
-        _keep_basis(state.warm, key, sol, spec)
-    return sol, n_stage, const
+        _keep_basis(lp.bases, role, sol, spec)
+    return sol, lp, const
 
 
-def _keep_basis(warm: dict, key, sol: SubproblemSolution, spec) -> None:
+def _keep_basis(table: dict, key, sol: SubproblemSolution, spec) -> None:
     """Store the solution's basis as the next warm start under ``key``,
     unless it holds an artificial column (a redundant row)."""
     if sol.basis is not None and sol.basis.max(initial=-1) < spec.n_cols:
-        warm[key] = sol.basis
+        table[key] = sol.basis
 
 
 def forward_pass(state: SddpState, path: ScenarioPath, k: int) -> Trajectory:
@@ -350,7 +344,7 @@ def forward_pass(state: SddpState, path: ScenarioPath, k: int) -> Trajectory:
         rho = 0.0
         if regularized and k >= 1 and t < problem.T:
             rho = schedule.value(k)
-        sol, n_stage, const = _stage_solve(
+        sol, lp, const = _stage_solve(
             state,
             t,
             outcome,
@@ -360,12 +354,11 @@ def forward_pass(state: SddpState, path: ScenarioPath, k: int) -> Trajectory:
             k=k,
             myopic=k == 0,
         )
-        real = problem.realization(t, outcome)
-        x = sol.y[:n_stage]
+        x = sol.y[: lp.n_stage]
         traj.x.append(x)
-        R = real.B @ x
+        R = lp.real.B @ x
         traj.resource.append(R)
-        traj.stage_costs.append(float(real.c @ x))
+        traj.stage_costs.append(float(lp.real.c @ x))
         traj.stage_objectives.append(sol.objective + const)
         R_prev = R
     return traj
@@ -478,19 +471,18 @@ def estimate_upper_bound(
     regularization): sample mean and standard error.  ``config`` supplies
     the solver and the debug-dump directory.
 
-    The paths share one warm-start table, fresh on each call: every LP but
-    the first of its shape starts warm (see ``policy_decision``).  A warm
-    and a cold solve agree on the objective only to the simplex's
-    optimality tolerance, and where optimal vertices tie they can return
-    different decisions, so the mean is not bit-identical to that of a
-    simulation that starts its LPs otherwise.
-
-    The paths also share one table of stage LPs, one per (stage, outcome),
-    held for the call: the cut-embedded matrix and cost, built on the first
-    visit, and the basis factor that LP's last solve ended on.  A visit
-    that starts from that basis starts from its factor instead of
-    factorizing it.  This changes no decision: the carried factor is the
-    one a fresh factorization would compute, bit for bit.
+    The paths share one table, fresh on each call (see
+    ``policy_decision``).  It holds warm starts: every LP but the first of
+    its shape starts warm.  A warm and a cold solve agree on the objective
+    only to the simplex's optimality tolerance, and where optimal vertices
+    tie they can return different decisions, so the mean is not
+    bit-identical to that of a simulation that starts its LPs otherwise.
+    It also holds the ``StageLP`` of each (stage, outcome) with its
+    cut-embedded spec: the matrix and cost, built on the first visit, and
+    the basis factor that LP's last solve ended on.  A visit that starts
+    from that basis starts from its factor instead of factorizing it.  This
+    changes no decision: the carried factor is the one a fresh
+    factorization would compute, bit for bit.
 
     Each node of the sampled tree is solved once: a path whose outcomes up
     to stage t equal an earlier path's (the key ``path.indices[:t]``)
@@ -498,9 +490,9 @@ def estimate_upper_bound(
     10-device storage instance (24 stages, a sticky 3-regime chain, a
     15-iteration cut file) a 10-path call solves 190 LPs instead of 250,
     and a 100-path call 1289 instead of 2500 (means over 10 sample seeds).
-    A skipped solve leaves the warm-start tables as they were, so later
-    LPs can start elsewhere than when every visit was solved, with the
-    caveat above on ties."""
+    A skipped solve leaves the table as it was, so later LPs can start
+    elsewhere than when every visit was solved, with the caveat above on
+    ties."""
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
     if any(
@@ -514,8 +506,7 @@ def estimate_upper_bound(
     # (stage, information state) keeps its shape: the basis of the last path
     # warm-starts the next, and a first visit starts from the last LP of
     # the same shape.  Only the first LP of each shape starts cold.
-    warm: dict = {}
-    held: dict = {}
+    lps: dict = {}
     nodes: dict = {}  # path.indices[:t] -> (stage cost, post-decision resource)
 
     def simulate(path: ScenarioPath) -> float:
@@ -527,7 +518,7 @@ def estimate_upper_bound(
             if node is None:
                 outcome = -1 if t == 0 else path.indices[t - 1]
                 step = policy_decision(
-                    problem, pool, t, outcome, R_prev, config=config, warm=warm, held=held
+                    problem, pool, t, outcome, R_prev, config=config, lps=lps
                 )
                 node = step.stage_cost, problem.realization(t, outcome).B @ step.x
                 nodes[prefix] = node
@@ -549,54 +540,42 @@ def policy_decision(
     R_prev: np.ndarray | None,
     *,
     config: EngineConfig | None = None,
-    warm: dict | None = None,
-    held: dict | None = None,
+    lps: dict | None = None,
 ) -> PolicyDecision:
     """Single-stage argmin under the cuts of the outcome's family; the
     myopic problem (with a flag) when that family is empty at a
     non-terminal stage.  ``config`` supplies the solver and the debug-dump
     directory.
 
-    Without ``warm`` the LP starts cold.  With it, the LP starts from the
-    basis stored there under ``(t, info_index)`` (within a simulation the
-    pool is fixed, so that LP keeps its shape); when that key holds none,
-    from the last basis stored by any LP of the same ``(n_rows, n_cols)``
-    shape (a sibling information state, or the previous stage when stages
-    share their matrix); otherwise cold.  It stores its own basis under
-    both keys.  The simplex repairs or rejects a start that does not fit:
-    by dual simplex, phase 1, or its cold retry.
-
-    ``held`` keeps the stage LP of each ``(t, outcome)`` while ``pool``
-    stays fixed: the first visit builds it and gives it a
-    ``CarriedFactor``, later visits fold their ``R_prev`` into its
-    right-hand side.  The bundled solver then starts a visit whose start
-    basis is the one that LP last ended on from that solve's fresh basis
-    inverse, which gives the same bits as factorizing it again."""
+    Without ``lps`` the LP is built afresh and starts cold.  ``lps`` is the
+    table of a simulation, in which ``pool`` stays fixed.  Under
+    ``(t, outcome)`` it holds the ``StageLP``: the first visit builds and
+    holds its cut-embedded spec with a ``CarriedFactor``, later visits fold
+    their ``R_prev`` into its right-hand side.  The bundled solver then
+    starts a visit whose start basis is the one that LP last ended on from
+    that solve's fresh basis inverse, which gives the same bits as
+    factorizing it again.  The LP starts from the basis stored under
+    ``("info", t, info_index)`` (the pool is fixed, so that LP keeps its
+    shape); when that key holds none, from the last basis stored by any LP
+    of the same shape, under ``("shape", n_rows, n_cols)`` (a sibling
+    information state, or the previous stage when stages share their
+    matrix); otherwise cold.  It stores its own basis under both keys.  The
+    simplex repairs or rejects a start that does not fit: by dual simplex,
+    phase 1, or its cold retry."""
     config = config or EngineConfig()
-    if warm is None:
-        warm = {}
+    table = {} if lps is None else lps
+    lp = table.setdefault((t, outcome), StageLP(problem, t, outcome))
+    spec = policy_subproblem(lp, pool, R_prev, hold=lps is not None)
     info_index = pool.info_index(t, outcome)
-    lp = None if held is None else held.get((t, outcome))
-    if lp is not None:
-        spec, n_stage = relink(lp[0], problem, t, outcome, R_prev), lp[1]
-    else:
-        spec, n_stage = policy_subproblem(problem, pool, t, outcome, R_prev)
-        if held is not None:
-            spec = replace(spec, factor=CarriedFactor())
-            held[(t, outcome)] = (spec, n_stage)
-    # Three entries, so the key never equals a (t, info_index) pair.
-    shape = ("shape", spec.n_rows, spec.n_cols)
-    start = warm.get((t, info_index))
-    if start is None:
-        start = warm.get(shape)
+    own, shape = ("info", t, info_index), ("shape", spec.n_rows, spec.n_cols)
+    start = table.get(own, table.get(shape))
     sol = _solve_spec(config, spec, ("policy", t, outcome), t, outcome, start)
-    _keep_basis(warm, (t, info_index), sol, spec)
-    _keep_basis(warm, shape, sol, spec)
-    real = problem.realization(t, outcome)
-    x = sol.y[:n_stage]
+    _keep_basis(table, own, sol, spec)
+    _keep_basis(table, shape, sol, spec)
+    x = sol.y[: lp.n_stage]
     return PolicyDecision(
         x=x,
         objective=sol.objective,
-        stage_cost=float(real.c @ x),
+        stage_cost=float(lp.real.c @ x),
         myopic_fallback=t < problem.T and pool.n_cuts(t, info_index) == 0,
     )

@@ -3,6 +3,8 @@
 Everything here enumerates the full outcome tree, so it is meant for
 desk-scale test problems only: the deterministic-equivalent LP, exact
 post-decision value functions, and exact expected cost of a cut policy.
+The deterministic-equivalent LPs are solved by HiGHS (through scipy), not
+by the package's own simplex, so that they check it rather than share it.
 """
 from __future__ import annotations
 
@@ -12,9 +14,8 @@ import numpy as np
 
 from .cuts import CutPool
 from .engine import policy_decision
-from .errors import InfeasibleSubproblemError, TooManyPaths
+from .errors import InfeasibleSubproblemError, NumericalBreakdown, TooManyPaths
 from .model import MultistageProblem
-from .simplex import solve_standard_lp
 
 DEFAULT_NODE_LIMIT = 100_000
 
@@ -136,15 +137,31 @@ def build_extensive_form(
     return ExtensiveForm(nodes=nodes, A=A, b=b, c=c)
 
 
-def solve_extensive_form(form: ExtensiveForm):
-    res = solve_standard_lp(form.A, form.b, form.c)
-    if res.status == "infeasible":
+@dataclass(frozen=True)
+class ExtensiveSolution:
+    objective: float
+    x: np.ndarray
+
+
+def solve_extensive_form(form: ExtensiveForm) -> ExtensiveSolution:
+    """Optimum of the form by HiGHS on a sparse copy of ``A``.  scipy is
+    imported here: at the top of the module it would add about 20 MB to
+    every CLI process."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    res = linprog(
+        form.c, A_eq=csr_matrix(form.A), b_eq=form.b, bounds=(0, None), method="highs"
+    )
+    if res.status == 2:
         raise InfeasibleSubproblemError(
             "extensive form is infeasible (relatively complete recourse violated)"
         )
-    if res.status == "unbounded":
+    if res.status == 3:
         raise InfeasibleSubproblemError("extensive form is unbounded")
-    return res
+    if res.status != 0:
+        raise NumericalBreakdown(f"extensive form not solved: {res.message}")
+    return ExtensiveSolution(objective=float(res.fun), x=res.x)
 
 
 def build_and_solve_extensive_form(

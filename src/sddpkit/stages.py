@@ -1,4 +1,5 @@
-"""Assembly of per-stage subproblems from problem data and cut pools."""
+"""The stage LP of each (stage, outcome) and its assembly from problem data
+and cut pools."""
 from __future__ import annotations
 
 from dataclasses import replace
@@ -7,48 +8,56 @@ import numpy as np
 
 from .cuts import CutPool
 from .model import MultistageProblem
+from .simplex import CarriedFactor
 from .subproblem import SubproblemSpec
 
 
+class StageLP:
+    """The LP of one (stage, outcome), which training and simulation solve
+    again and again: its realization, the last basis each role (``"f"``,
+    ``"b"``, ``"lb"``) ended on, and, when :func:`policy_subproblem` is told
+    to hold it, the cut-embedded spec with the slot of its carried factor.
+    Hold a spec only while the pool is fixed."""
+
+    def __init__(self, problem: MultistageProblem, t: int, outcome: int):
+        self.t, self.outcome = t, outcome
+        self.real = problem.realization(t, outcome)
+        self.n_stage = self.real.n_cols
+        # The right-hand side entries the previous stage's resource enters.
+        self.r_prev = problem.resource_dims[t - 1] if t else 0
+        self.bases: dict[str, np.ndarray] = {}
+        self.held: SubproblemSpec | None = None
+
+    def start(self, role: str, spec: SubproblemSpec) -> np.ndarray | None:
+        """The basis ``role`` last kept, completed for ``spec``: cut rows
+        only grow, and the surplus slacks of the newer rows complete it.
+        The simplex rejects a start of any other row count."""
+        start = self.bases.get(role)
+        if start is not None and start.shape[0] < spec.n_rows:
+            extra = spec.n_rows - start.shape[0]
+            start = np.concatenate([start, np.arange(spec.n_cols - extra, spec.n_cols)])
+        return start
+
+
 def policy_subproblem(
-    problem: MultistageProblem,
-    pool: CutPool | None,
-    t: int,
-    outcome: int,
-    R_prev: np.ndarray | None,
-) -> tuple[SubproblemSpec, int]:
-    """Stage LP at epoch t after ``outcome``, with the linking term folded
-    into the first ``resource_dims[t-1]`` right-hand side entries and the
-    cuts of the outcome's family (``pool.info_index``) embedded.
-
-    Returns the spec and the count of the stage's own variables (the
-    embedded spec appends the epigraph and slack columns after them).
-    The terminal stage, ``pool=None`` and an empty family yield the bare LP.
-    """
-    real = problem.realization(t, outcome)
-    spec = SubproblemSpec(c=real.c, A=real.A, rhs=real.b)
-    n_stage = spec.n_cols
-    if pool is not None and t < problem.T:
-        spec = pool.embed(t, pool.info_index(t, outcome), spec, real.B)
-    return relink(spec, problem, t, outcome, R_prev), n_stage
-
-
-def relink(
-    spec: SubproblemSpec,
-    problem: MultistageProblem,
-    t: int,
-    outcome: int,
-    R_prev: np.ndarray | None,
+    lp: StageLP, pool: CutPool | None, R_prev: np.ndarray | None, *, hold: bool = False
 ) -> SubproblemSpec:
-    """``spec``, a stage LP of :func:`policy_subproblem` at (t, outcome),
-    with the linking term of ``R_prev`` folded into its right-hand side in
-    place of the one it holds.  The matrix, the cost and the carried factor
-    stay the same objects."""
-    if t == 0:
+    """Stage LP of ``lp`` with the cuts of its outcome's family
+    (``pool.info_index``) embedded after its ``lp.n_stage`` own columns
+    (none at the terminal stage, with ``pool=None`` or an empty family),
+    and the linking term of ``R_prev`` folded into its first ``lp.r_prev``
+    right-hand side entries.  With ``hold`` the first call keeps the
+    embedded spec in ``lp`` with a ``CarriedFactor`` slot; later calls only
+    relink it, so the matrix, the cost and the slot stay the same objects."""
+    spec = lp.held
+    if spec is None:
+        spec = SubproblemSpec(c=lp.real.c, A=lp.real.A, rhs=lp.real.b)
+        if pool is not None and lp.t < pool.n_stages:
+            spec = pool.embed(lp.t, pool.info_index(lp.t, lp.outcome), spec, lp.real.B)
+        if hold:
+            spec = lp.held = replace(spec, factor=CarriedFactor())
+    if lp.t == 0:
         return spec
-    r_prev = problem.resource_dims[t - 1]
     rhs = spec.rhs.copy()
-    rhs[:r_prev] = problem.realization(t, outcome).b[:r_prev] - np.asarray(
-        R_prev, dtype=float
-    )
+    rhs[: lp.r_prev] = lp.real.b[: lp.r_prev] - np.asarray(R_prev, dtype=float)
     return replace(spec, rhs=rhs)

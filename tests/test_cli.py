@@ -425,6 +425,43 @@ def test_traced_benchmark_wraps_every_planned_name(monkeypatch):
         assert getattr(owner, attr) is inner
 
 
+def test_benchmark_hooks_see_a_solve_and_an_evaluate(tmp_path, monkeypatch):
+    # The benchmark times engine.run, engine.iterate and
+    # engine.estimate_upper_bound, and counts calls of traced names, where
+    # the package looks them up.  A name the package stops calling through
+    # its module would read as zero there, not fail.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py extends it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    loader = importlib.util.spec_from_file_location("perfbench_run", path)
+    bench = importlib.util.module_from_spec(loader)
+    monkeypatch.setitem(sys.modules, "perfbench_run", bench)  # for its dataclasses
+    loader.loader.exec_module(bench)
+    inst, cuts = str(tmp_path / "inst.json"), str(tmp_path / "cuts.json")
+    small = ["--n-storage", "2", "--t-periods", "4", "--n-regimes", "2", "--seed", "1"]
+    assert cli_main(["generate", "--out", inst, *small]) == 0
+    tracer = bench.Tracer()
+    saved = bench.install(tracer)
+    clock = bench.Clock(engine)
+    try:
+        solve = clock.reset()
+        argv = ["solve", inst, "--plain", "--iters", "3", "--ub-every", "0"]
+        assert cli_main([*argv, "--out-cuts", cuts]) == 0
+        evaluate = clock.reset()
+        assert cli_main(["evaluate", inst, cuts, "--samples", "2"]) == 0
+    finally:
+        clock.restore()
+        bench.uninstall(saved)
+    assert len(solve.iter_ends) == 3
+    assert evaluate.ub_seconds > 0
+    for name in (
+        "stages.policy_subproblem.calls",
+        "cuts.embed.rows",
+        "subproblem.solve.lp_calls",
+        "simplex.lu_factor.calls",
+    ):
+        assert tracer.counts[name] > 0, name
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli_main(["solve"])  # missing required instance argument

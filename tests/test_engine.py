@@ -27,6 +27,7 @@ from sddpkit.model import (
     sample_path,
 )
 from sddpkit.oracle import build_and_solve_extensive_form
+from sddpkit.stages import StageLP, policy_subproblem
 from sddpkit.storage import StorageNetworkParams, generate_storage_instance
 from sddpkit.subproblem import BundledSolver, SolveStatus, load_subproblem
 from support import newsvendor, random_recourse_instance
@@ -491,6 +492,64 @@ def test_carried_factors_give_the_bits_of_fresh_solves(monkeypatch):
     assert len(factorizations) - carried_run >= carried_run + carried
 
 
+def test_training_lps_start_from_their_roles_kept_basis(monkeypatch):
+    # A plain run: every forward, backward and lower-bound LP starts from
+    # the last basis its (stage, outcome) kept for its role, extended by
+    # the slacks of the cut rows added since, and cold when none is kept.
+    p = storage_instance()
+    records = []
+    inner = engine._solve_spec
+
+    def recording(config, spec, key, t, outcome, start=None, iteration=None):
+        sol = inner(config, spec, key, t, outcome, start, iteration)
+        records.append((key, spec, start, sol))
+        return sol
+
+    monkeypatch.setattr(engine, "_solve_spec", recording)
+    state = init_state(p, EngineConfig(iterations=6, seed=0, ub_every=0))
+    for k in range(6):
+        iterate(state, k)
+    kept = {}
+    checked = extended = 0
+    for key, spec, start, sol in records:
+        stored = kept.get(key)
+        if stored is None:
+            assert start is None
+        else:
+            extra = spec.n_rows - stored.shape[0]
+            slacks = np.arange(spec.n_cols - extra, spec.n_cols)
+            assert np.array_equal(start, np.concatenate([stored, slacks]))
+            checked += 1
+            extended += extra > 0
+        if sol.basis.max(initial=-1) < spec.n_cols:
+            kept[key] = sol.basis
+    assert {key[0] for key in kept} == {"f", "b", "lb"}
+    assert checked >= len(records) // 2 and extended >= 10
+    for key, basis in kept.items():
+        lp = state.lps[key[1:] or (0, -1)]
+        assert lp.bases[key[0]] is basis and lp.held is None
+
+
+def test_held_stage_lp_relinks_the_same_matrix():
+    # A held spec visited at a new R_prev keeps its matrix, cost and factor
+    # slot, and equals a fresh build at that R_prev bit for bit.
+    p = storage_instance()
+    pool, _ = run(p, EngineConfig(iterations=6, seed=0, ub_every=0))
+    rng = np.random.default_rng(0)
+    lp = StageLP(p, 3, 1)
+    first = policy_subproblem(lp, pool, rng.random(lp.r_prev), hold=True)
+    R_prev = rng.random(lp.r_prev)
+    again = policy_subproblem(lp, pool, R_prev, hold=True)
+    fresh = policy_subproblem(StageLP(p, 3, 1), pool, R_prev)
+    assert again.A is first.A and again.c is first.c
+    assert again.factor is first.factor and first.factor is not None
+    assert fresh.factor is None and fresh.A is not first.A
+    assert again.n_rows > p.realization(3, 1).n_rows  # cuts are embedded
+    for name in ("c", "A", "rhs"):
+        assert getattr(again, name).tobytes() == getattr(fresh, name).tobytes()
+    assert again.rhs.tobytes() != first.rhs.tobytes()
+
+
 def test_regularized_qp_starts_from_its_cut_familys_lp_basis(monkeypatch):
     # Two paths per iteration: the second forward pass meets stage-0 cuts
     # that the lower-bound LP of the previous iteration did not have, so
@@ -508,20 +567,21 @@ def test_regularized_qp_starts_from_its_cut_familys_lp_basis(monkeypatch):
     inner = engine.forward_pass
 
     def recording(state, path, k):
-        passes.append((k, path, dict(state.warm), len(solver.calls)))
+        bases = {key: dict(lp.bases) for key, lp in state.lps.items()}
+        passes.append((k, path, bases, len(solver.calls)))
         return inner(state, path, k)
 
     monkeypatch.setattr(engine, "forward_pass", recording)
     run(p, config)
     checked = extended = 0
-    for k, path, warm, first in passes[2:]:  # the passes at k >= 1
+    for k, path, bases, first in passes[2:]:  # the passes at k >= 1
         qps = [
             call for call in solver.calls[first : first + p.T + 1]
             if call[0].quad is not None
         ]
         assert len(qps) == p.T
         for t, (spec, start, _) in enumerate(qps):
-            stored = warm[("b", t, path.indices[t - 1]) if t else ("lb",)]
+            stored = bases[(t, path.indices[t - 1])]["b"] if t else bases[(0, -1)]["lb"]
             extra = spec.n_rows - stored.shape[0]
             slacks = np.arange(spec.n_cols - extra, spec.n_cols)
             assert np.array_equal(start, np.concatenate([stored, slacks]))
