@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, oracle, storage
-from .cuts import load_cuts
-from .errors import ConfigError, SddpkitError
+from .cuts import CutPool, load_cuts
+from .errors import ConfigError, DimensionMismatch, SddpkitError
 from .model import load_instance, load_json, save_instance, validate
 
 
@@ -156,10 +156,25 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _load_cuts_for(problem, path) -> CutPool:
+    """The cut pool of the file ``path``, which must be laid out as
+    ``problem``'s pool is (``CutPool.for_problem``): a pool of another
+    instance indexes past its stages or bounds the wrong problem."""
+    pool = load_cuts(path)
+    want = CutPool.for_problem(problem)
+    if (pool.resource_dims, pool.n_info) != (want.resource_dims, want.n_info):
+        raise DimensionMismatch(
+            f"cut file {path} holds resource_dims {pool.resource_dims}, n_info "
+            f"{pool.n_info}; the instance needs resource_dims "
+            f"{want.resource_dims}, n_info {want.n_info}"
+        )
+    return pool
+
+
 def _cmd_verify(args) -> int:
     _check_out_dirs(("--out", args.out))
     problem = load_instance(args.instance)
-    pool = load_cuts(args.cuts)
+    pool = _load_cuts_for(problem, args.cuts)
     lb = engine.policy_decision(problem, pool, 0, -1, None).objective
     v_star = oracle.build_and_solve_extensive_form(problem, node_limit=args.node_limit)
     gap = v_star - lb
@@ -179,7 +194,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     problem = load_instance(args.instance)
-    pool = load_cuts(args.cuts)
+    pool = _load_cuts_for(problem, args.cuts)
     if args.exact:
         cost = oracle.evaluate_policy_exact(problem, pool, node_limit=args.node_limit)
         print(f"policy_cost_exact: {cost:.6f}")

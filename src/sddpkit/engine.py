@@ -564,7 +564,9 @@ def policy_decision(
     phase 1, or its cold retry."""
     config = config or EngineConfig()
     table = {} if lps is None else lps
-    lp = table.setdefault((t, outcome), StageLP(problem, t, outcome))
+    lp = table.get((t, outcome))
+    if lp is None:
+        lp = table[(t, outcome)] = StageLP(problem, t, outcome)
     spec = policy_subproblem(lp, pool, R_prev, hold=lps is not None)
     info_index = pool.info_index(t, outcome)
     own, shape = ("info", t, info_index), ("shape", spec.n_rows, spec.n_cols)

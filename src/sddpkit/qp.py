@@ -78,7 +78,7 @@ def _solve_qp_once(
     m, n = A.shape
     signs, ext, bw = _oriented_rows(A, b)
 
-    basis, x_b, feasible = _warm_basis(ext, bw, start_basis, n) or (None, None, False)
+    basis, x_b, feasible = _warm_basis(ext, bw, start_basis) or (None, None, False)
     if not feasible:
         # The starting LP orients A as this QP does: it starts from the
         # start basis's inverse factorized above and leaves the fresh
@@ -97,14 +97,10 @@ def _solve_qp_once(
     y = np.zeros(n + m)
     y[basis.cols] = x_b
     super_cols: list[int] = []
-    allowed = np.zeros(n + m, dtype=bool)
-    allowed[:n] = True
-
-    max_iter = 50 * (n + m) + 2_000
     stall = 0
     bland = False
 
-    for _ in range(max_iter):
+    for _ in range(50 * (n + m) + 2_000):
         g = np.zeros(n + m)
         g[:n] = c + G @ y[:n]
         mu = basis.solve_transpose(g[basis.cols])
@@ -115,12 +111,10 @@ def _solve_qp_once(
 
         just_added = False
         if np.abs(lam[super_cols]).max(initial=0.0) <= tol:
-            mask = allowed.copy()
-            mask[basis.cols] = False
+            mask = basis.enterable & (lam < -tol)
             mask[super_cols] = False
-            mask &= lam < -tol
             if not mask.any():
-                return _finish(basis, ext, bw, signs, y, lam, super_cols, c, G)
+                return _finish(basis, bw, signs, y, lam, super_cols, c, G)
             if bland:
                 q = int(np.argmax(mask))
             else:
@@ -135,7 +129,7 @@ def _solve_qp_once(
         # is always a strict descent direction.
         while True:
             s = len(super_cols)
-            Z, M = _subspace(basis, ext, super_cols, G, n)
+            Z, M = _subspace(basis, super_cols, G)
             rhs = -lam[super_cols]
             step, *_ = np.linalg.lstsq(M, rhs, rcond=None)
             resid = M @ step - rhs
@@ -212,7 +206,7 @@ def _solve_qp_once(
                 super_cols.remove(block)
             else:
                 pos = int(np.where(basis.cols == block)[0][0])
-                _swap_into_basis(basis, ext, pos, super_cols, n)
+                _swap_into_basis(basis, pos, super_cols)
         if alpha > 1e-12:
             stall = 0
             bland = False
@@ -225,9 +219,7 @@ def _solve_qp_once(
     raise NumericalBreakdown("QP active-set iteration limit reached")
 
 
-def _swap_into_basis(
-    basis: _Basis, ext: np.ndarray, pos: int, super_cols: list[int], n: int
-) -> None:
+def _swap_into_basis(basis: _Basis, pos: int, super_cols: list[int]) -> None:
     """A basic variable hit its bound: bring a superbasic into the basis in
     its place when a safe pivot exists.  Otherwise exchange it for the
     nonbasic original column with the largest pivot in its row (lowest
@@ -235,6 +227,7 @@ def _swap_into_basis(
     degenerate: ``y`` stays put but the working set changes, and the next
     direction is not blocked by the same variable again.  Only a row with
     no safe pivot at all leaves the basis unchanged."""
+    ext, n = basis.matrix, basis.n
     row = np.abs(basis.row(pos) @ ext[:, :n])
     if super_cols:
         best = int(np.argmax(row[super_cols]))
@@ -242,7 +235,7 @@ def _swap_into_basis(
             entering = super_cols.pop(best)
             basis.update(pos, entering, basis.solve(ext[:, entering]))
             return
-    row[basis.cols[basis.cols < n]] = 0.0
+    row[~basis.enterable[:n]] = 0.0
     row[super_cols] = 0.0
     entering = int(np.argmax(row))
     if row[entering] > 1e-7:
@@ -250,11 +243,12 @@ def _swap_into_basis(
 
 
 def _subspace(
-    basis: _Basis, ext: np.ndarray, S: list[int], G: np.ndarray, n: int
+    basis: _Basis, S: list[int], G: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Null-space basis Z of the working set and the reduced Hessian
     Z[:n]' G Z[:n], from one basis solve: Z has unit entries on the
     superbasics ``S`` and -B^{-1} N_S on the basics."""
+    ext, n = basis.matrix, basis.n
     Z = np.zeros((ext.shape[1], len(S)))
     Z[S, range(len(S))] = 1.0
     Z[basis.cols] -= basis.solve(ext[:, S])
@@ -263,7 +257,6 @@ def _subspace(
 
 def _finish(
     basis: _Basis,
-    ext: np.ndarray,
     bw: np.ndarray,
     signs: np.ndarray,
     y: np.ndarray,
@@ -276,9 +269,9 @@ def _finish(
     the superbasics ``S``, against their reduced gradient ``lam``, reaches
     its minimizer; ``_polish`` then recomputes the basics from
     ``bw - N_S y_S`` and the duals from ``g_B``, wiping out any drift."""
-    n = c.shape[0]
+    ext, n = basis.matrix, basis.n
     if S:
-        Z, M = _subspace(basis, ext, S, G, n)
+        Z, M = _subspace(basis, S, G)
         step, *_ = np.linalg.lstsq(M, -lam[S], rcond=None)
         y = y + Z @ step
     g = np.zeros_like(y)

@@ -2,23 +2,26 @@
 
     min c . x   s.t.   A x = b,   x >= 0
 
-Two-phase method with Dantzig pricing, a permanent switch to Bland's rule
-on stalling, and lowest-variable-index tie-breaking in the ratio test.  All
-pivoting rules are index-deterministic, so identical inputs produce
-identical bases, primals and duals.
+Two-phase method with lowest-variable-index tie-breaking in the ratio
+test.  Each phase prices by Dantzig's rule for ``STALL_LIMIT`` pivots and
+by Bland's rule after them, so degenerate cycling cannot last.  (A progress
+test once meant to delay that switch never fired: its best objective
+started at inf, and ``inf - 1e-12 * (1 + inf)`` is NaN.)  All pivoting
+rules are index-deterministic, so identical inputs produce identical
+bases, primals and duals.
 
 The basis kernel ``_Basis`` keeps an explicit dense inverse, changed by
 rank-one updates at each pivot and rebuilt from an LU factorization every
-``REFACTOR_EVERY`` updates.  It owns the one pivot rule
-(``_Basis.pivot_floor``): the primal ratio test takes only pivots that the
-update accepts.  The inverse is kept rather than LU factors with an eta
-file because the stage LPs are small (65-102 rows): at 65 rows ``inv @ v``
-takes about 2 us against 16 us for ``lu_solve``, and each eta step would
-add about 3 us of Python.  The factorization calls LAPACK's ``dgetrf`` and
-``dgetrs`` directly (``lu_factor``, ``lu_solve``): the routines behind
-``scipy.linalg.lu_factor`` and ``lu_solve``, with the same results bit for
-bit, without their per-call argument handling.  A solve that breaks down
-numerically is retried once from a cold start.
+``REFACTOR_EVERY`` updates, and the columns a pivot may bring in.  It owns
+the one pivot rule (``_Basis.pivot_floor``): the primal ratio test takes
+only pivots that the update accepts.  The inverse is kept rather than LU
+factors with an eta file because the stage LPs are small (65-102 rows): at
+65 rows ``inv @ v`` takes about 2 us against 16 us for ``lu_solve``, and
+each eta step would add about 3 us of Python.  The factorization calls
+LAPACK's ``dgetrf`` and ``dgetrs`` directly (``lu_factor``, ``lu_solve``):
+the routines behind ``scipy.linalg.lu_factor`` and ``lu_solve``, with the
+same results bit for bit, without their per-call argument handling.  A
+solve that breaks down numerically is retried once from a cold start.
 
 A solve can carry its basis factor to the next solve of the same matrix
 (``CarriedFactor``).  Every solve ends in ``_polish`` on a freshly
@@ -80,8 +83,11 @@ class _Basis:
     updates and rebuilt from an LU factorization every ``REFACTOR_EVERY``
     updates.
 
-    The basis is ``matrix[:, cols]``.  Solves are single matrix-vector
-    products against the stored inverse.
+    The basis is ``matrix[:, cols]`` over an extended matrix of
+    ``_oriented_rows``, whose last m columns are artificials.  ``enterable``
+    marks the nonbasic original columns, the only ones a pivot may bring
+    in.  Solves are single matrix-vector products against the stored
+    inverse.
     """
 
     PIVOT_REL = 1e-8
@@ -92,7 +98,10 @@ class _Basis:
         """Factorize ``matrix[:, cols]``, or take ``inv``, which must be its
         freshly factorized inverse (``CarriedFactor.take``)."""
         self.matrix = matrix
+        self.n = matrix.shape[1] - matrix.shape[0]
         self.cols = np.array(cols, dtype=int)
+        self.enterable = np.arange(matrix.shape[1]) < self.n
+        self.enterable[self.cols] = False
         if inv is None:
             self.refactorize()
         else:
@@ -143,6 +152,9 @@ class _Basis:
     def update(self, pos: int, new_col: int, direction: np.ndarray) -> None:
         """Replace the basic variable at position ``pos`` by column
         ``new_col``; ``direction`` must equal B^{-1} a_{new_col}."""
+        old = self.cols[pos]
+        self.enterable[old] = old < self.n
+        self.enterable[new_col] = False
         self.cols[pos] = new_col
         if (
             self._updates >= REFACTOR_EVERY
@@ -205,37 +217,27 @@ class LpResult:
 
 
 def _iterate(
-    matrix: np.ndarray,
-    cost: np.ndarray,
-    basis: _Basis,
-    x_b: np.ndarray,
-    allowed: np.ndarray,
-    max_iter: int,
+    basis: _Basis, cost: np.ndarray, x_b: np.ndarray
 ) -> tuple[str, np.ndarray]:
     """Run primal simplex pivots until optimality/unboundedness.
 
-    ``allowed`` masks the columns eligible to enter the basis.  Returns the
-    terminal status and the final basic values.
+    Only the kernel's enterable columns enter: Dantzig's choice for the
+    first ``STALL_LIMIT`` pivots, Bland's after them.  Returns the terminal
+    status and the final basic values.
     """
-    m = x_b.shape[0]
-    bland = False
-    stall = 0
-    best = np.inf
-    enter_mask = np.zeros(matrix.shape[1], dtype=bool)
+    matrix = basis.matrix
+    m, width = matrix.shape
     tol = 1e-9 * (1.0 + np.abs(cost).max(initial=0.0))
-    for it in range(max_iter):
+    for it in range(200 * width + 10_000):
         mu = basis.solve_transpose(cost[basis.cols])
         reduced = cost - matrix.T @ mu
-        enter_mask[:] = allowed
-        enter_mask[basis.cols] = False
-        enter_mask &= reduced < -tol
+        enter_mask = basis.enterable & (reduced < -tol)
         if not enter_mask.any():
             return "optimal", x_b
-        if bland:
+        if it > STALL_LIMIT:
             q = int(np.argmax(enter_mask))
         else:
-            masked = np.where(enter_mask, reduced, np.inf)
-            q = int(np.argmin(masked))
+            q = int(np.argmin(np.where(enter_mask, reduced, np.inf)))
         d = basis.solve(matrix[:, q])
         pos = d > basis.pivot_floor(d)
         if not pos.any():
@@ -250,25 +252,11 @@ def _iterate(
         x_b[x_b < 0.0] = 0.0
         x_b[p] = theta
         basis.update(p, q, d)
-        obj = float(cost[basis.cols] @ x_b)
-        if obj < best - 1e-12 * (1.0 + abs(best)):
-            best = obj
-            stall = 0
-        else:
-            stall += 1
-            if stall > STALL_LIMIT:
-                bland = True
     raise NumericalBreakdown("simplex iteration limit reached")
 
 
 def _dual_iterate(
-    matrix: np.ndarray,
-    cost: np.ndarray,
-    basis: _Basis,
-    x_b: np.ndarray,
-    reduced: np.ndarray,
-    allowed: np.ndarray,
-    max_iter: int,
+    basis: _Basis, cost: np.ndarray, x_b: np.ndarray, reduced: np.ndarray
 ) -> tuple[str, np.ndarray]:
     """Dual simplex pivots from a dual-feasible basis until the basics turn
     nonnegative.  Returns "feasible" on success, "dual-unbounded" when some
@@ -279,8 +267,9 @@ def _dual_iterate(
     (it is overwritten).  They are updated incrementally and refreshed
     periodically.
     """
+    matrix = basis.matrix
     tol_p = 1e-9
-    for it in range(max_iter):
+    for it in range(20 * matrix.shape[0] + 200):
         p = int(np.argmin(x_b))
         if x_b[p] >= -tol_p:
             return "feasible", x_b
@@ -289,9 +278,7 @@ def _dual_iterate(
             reduced = cost - matrix.T @ mu
         np.maximum(reduced, 0.0, out=reduced)
         row = basis.row(p) @ matrix
-        cand = allowed.copy()
-        cand[basis.cols] = False
-        cand &= row < -PIVOT_TOL
+        cand = basis.enterable & (row < -PIVOT_TOL)
         if not cand.any():
             return "dual-unbounded", x_b
         idx = np.where(cand)[0]
@@ -326,10 +313,12 @@ def _oriented_rows(A: np.ndarray, b: np.ndarray):
     return signs, ext, b * signs
 
 
-def _crash_basis(ext: np.ndarray, bw: np.ndarray, n: int) -> np.ndarray:
-    """Initial basis for phase 1: per row, a positive singleton column when
-    one exists (slack-style), the artificial otherwise."""
-    m = bw.shape[0]
+def _crash_basis(ext: np.ndarray) -> np.ndarray:
+    """Initial basis for phase 1 on the extended matrix of
+    ``_oriented_rows``: per row, a positive singleton column when one
+    exists (slack-style), the artificial otherwise."""
+    m = ext.shape[0]
+    n = ext.shape[1] - m
     nz_per_col = np.count_nonzero(ext[:, :n], axis=0)
     cols = np.arange(n, n + m)
     for j in np.where(nz_per_col == 1)[0]:
@@ -339,13 +328,7 @@ def _crash_basis(ext: np.ndarray, bw: np.ndarray, n: int) -> np.ndarray:
     return cols
 
 
-def _warm_basis(
-    ext: np.ndarray,
-    bw: np.ndarray,
-    start_basis,
-    n: int,
-    inv_of=None,
-):
+def _warm_basis(ext: np.ndarray, bw: np.ndarray, start_basis, inv_of=None):
     """Factorize a warm start on the extended matrix of ``_oriented_rows``,
     or take its fresh inverse from ``inv_of(cols)`` when that returns one.
 
@@ -358,6 +341,7 @@ def _warm_basis(
     if start_basis is None:
         return None
     m = bw.shape[0]
+    n = ext.shape[1] - m
     cols = np.asarray(start_basis, dtype=int)
     inv = None if inv_of is None else inv_of(cols)
     # A held inverse vouches for its columns: they ended a solve.
@@ -449,16 +433,12 @@ def _solve_lp_once(
         return LpResult(status="unbounded")
 
     signs, ext, bw = _oriented_rows(A, b)
-    max_iter = 200 * (m + n) + 10_000
-
-    allowed_cols = np.zeros(n + m, dtype=bool)
-    allowed_cols[:n] = True
     cost2 = np.concatenate([c, np.zeros(m)])
 
     basis = None
     try:
         warm = _warm_basis(
-            ext, bw, start_basis, n, None if carry is None else partial(carry.take, A, signs)
+            ext, bw, start_basis, None if carry is None else partial(carry.take, A, signs)
         )
         if warm is not None:
             cand, x_b, feasible = warm
@@ -471,13 +451,11 @@ def _solve_lp_once(
                 mu = cand.solve_transpose(cost2[cand.cols])
                 reduced = cost2 - ext.T @ mu
                 dual_ok = (
-                    reduced[allowed_cols].min(initial=0.0)
+                    reduced[:n].min(initial=0.0)
                     >= -1e-7 * (1.0 + np.abs(c).max(initial=0.0))
                 )
                 if dual_ok:
-                    status, x_b = _dual_iterate(
-                        ext, cost2, cand, x_b, reduced, allowed_cols, 20 * m + 200
-                    )
+                    status, x_b = _dual_iterate(cand, cost2, x_b, reduced)
                     if status == "feasible":
                         x_b[x_b < 0.0] = 0.0
                         basis = cand
@@ -486,13 +464,13 @@ def _solve_lp_once(
 
     if basis is None:
         try:
-            basis = _Basis(ext, _crash_basis(ext, bw, n))
+            basis = _Basis(ext, _crash_basis(ext))
         except SingularBasis:
             basis = _Basis(ext, np.arange(n, n + m))
         x_b = basis.solve(bw)
         cost1 = np.zeros(n + m)
         cost1[n:] = 1.0
-        status, x_b = _iterate(ext, cost1, basis, x_b, allowed_cols, max_iter)
+        status, x_b = _iterate(basis, cost1, x_b)
         if status == "unbounded":
             raise NumericalBreakdown("phase-1 problem reported unbounded")
         infeas = float(cost1[basis.cols] @ x_b)
@@ -503,15 +481,13 @@ def _solve_lp_once(
             if basis.cols[pos] < n:
                 continue
             row = ext[:, :n].T @ basis.row(pos)
-            row[basis.cols[basis.cols < n]] = 0.0
-            pivots = np.abs(row) > 1e-7
+            pivots = basis.enterable[:n] & (np.abs(row) > 1e-7)
             if pivots.any():
                 q = int(np.argmax(pivots))
-                d = basis.solve(ext[:, q])
-                basis.update(pos, q, d)
+                basis.update(pos, q, basis.solve(ext[:, q]))
             x_b[pos] = 0.0
 
-    status, x_b = _iterate(ext, cost2, basis, x_b, allowed_cols, max_iter)
+    status, x_b = _iterate(basis, cost2, x_b)
     if status == "unbounded":
         return LpResult(status="unbounded", feasible_basis=basis.cols.copy())
     x_b, mu = _polish(basis, bw, cost2[basis.cols])

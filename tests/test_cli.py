@@ -253,6 +253,42 @@ def test_cut_outside_the_pool_exits_one(tmp_path, capsys, field, value):
     assert_one_error_line(capsys)
 
 
+@pytest.fixture(scope="module")
+def foreign_cuts(tmp_path_factory):
+    """A 6-period instance and the cut file of the 4-period instance made
+    with the same generator settings."""
+    d = tmp_path_factory.mktemp("foreign")
+    for name, periods in (("short", "4"), ("long", "6")):
+        assert cli_main(
+            ["generate", "--out", str(d / f"{name}.json"), "--n-storage", "2",
+             "--t-periods", periods, "--n-regimes", "2", "--seed", "1"]
+        ) == 0
+    assert cli_main(
+        ["solve", str(d / "short.json"), "--plain", "--iters", "3", "--ub-every",
+         "0", "--out-cuts", str(d / "cuts.json")]
+    ) == 0
+    return d / "long.json", d / "cuts.json"
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("verify", []), ("evaluate", ["--samples", "5"]), ("evaluate", ["--exact"])],
+    ids=["verify", "evaluate-samples", "evaluate-exact"],
+)
+def test_cut_file_of_another_instance_exits_one(foreign_cuts, capsys, command, flags):
+    # A pool laid out for 4 stages would index past them on a 6-stage
+    # instance (evaluate) or bound another problem (verify).
+    inst, cuts = foreign_cuts
+    capsys.readouterr()
+    assert cli_main([command, str(inst), str(cuts), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cut file "), err
+    assert "resource_dims (2, 2, 2, 2), n_info (1, 2, 2, 2);" in err[0]
+    assert "resource_dims (2, 2, 2, 2, 2, 2), n_info (1, 2, 2, 2, 2, 2)" in err[0]
+
+
 def test_cut_file_independent_of_inherited_blas_threads(tmp_path):
     inst = tmp_path / "inst.json"
     assert cli_main(

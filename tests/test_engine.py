@@ -550,6 +550,23 @@ def test_held_stage_lp_relinks_the_same_matrix():
     assert again.rhs.tobytes() != first.rhs.tobytes()
 
 
+def test_policy_simulation_builds_each_stage_lp_once(monkeypatch):
+    # A simulation keeps one StageLP per (stage, outcome) it visits; a
+    # visit that finds its StageLP in the table builds none.
+    p = storage_instance()
+    pool, _ = run(p, EngineConfig(iterations=3, seed=0, ub_every=0))
+    built = []
+
+    class Counted(StageLP):
+        def __init__(self, problem, t, outcome):
+            built.append((t, outcome))
+            super().__init__(problem, t, outcome)
+
+    monkeypatch.setattr(engine, "StageLP", Counted)
+    estimate_upper_bound(p, pool, 12, np.random.default_rng(5))
+    assert built and len(built) == len(set(built))
+
+
 def test_regularized_qp_starts_from_its_cut_familys_lp_basis(monkeypatch):
     # Two paths per iteration: the second forward pass meets stage-0 cuts
     # that the lower-bound LP of the previous iteration did not have, so

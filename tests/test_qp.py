@@ -200,7 +200,7 @@ def test_infeasible_start_carries_factors_through_the_starting_lp(monkeypatch):
             continue
         b_new = b + rng.standard_normal(5)
         _, ext, bw = simplex._oriented_rows(A, b_new)
-        warm = simplex._warm_basis(ext, bw, vertex.basis, 9)
+        warm = simplex._warm_basis(ext, bw, vertex.basis)
         if warm is not None and not warm[2]:
             M = rng.standard_normal((3, 9))
             cases.append((A, b_new, c, M.T @ M, vertex.basis))

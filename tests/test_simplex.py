@@ -3,6 +3,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from sddpkit import simplex
 from sddpkit.qp import solve_standard_qp
@@ -224,10 +227,9 @@ def fixture_bases():
     out = []
     for name in ("lp_singular_pivot", "qp_degenerate_block"):
         spec, start, _ = load_subproblem(FIXTURES / f"{name}.json")
-        _, ext, bw = simplex._oriented_rows(spec.A, spec.rhs)
-        n = spec.A.shape[1]
+        _, ext, _ = simplex._oriented_rows(spec.A, spec.rhs)
         if start is None:
-            start = simplex._crash_basis(ext, bw, n)
+            start = simplex._crash_basis(ext)
         final = solve_standard_lp(spec.A, spec.rhs, spec.c, start).basis
         out += [(f"{name}-start", ext[:, start]), (f"{name}-final", ext[:, final])]
     return out
@@ -323,3 +325,80 @@ def test_carried_factor_needs_the_same_matrix_object():
     assert carry.take(A.copy(), signs, res.basis) is None
     assert carry.take(A, signs, res.basis[::-1]) is None
     assert carry.take(A, signs, res.basis) is not None
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    seed=st.integers(0, 10_000),
+    draws=st.lists(
+        st.integers(0, 10**6),
+        min_size=2 * simplex.REFACTOR_EVERY + 5,
+        max_size=2 * simplex.REFACTOR_EVERY + 40,
+    ),
+    forced=st.integers(0, 2 * simplex.REFACTOR_EVERY + 4),
+)
+def test_basis_keeps_its_enterable_mask_across_updates(seed, draws, forced):
+    # Each step exchanges a basic column for a nonbasic one (an artificial
+    # or an original), drawn among the pairs whose pivot keeps [A | I] well
+    # conditioned.  Step ``forced`` hands ``update`` a direction whose pivot
+    # entry is below the floor, which makes it refactorize; the longer side
+    # of that step holds more than REFACTOR_EVERY updates, so the cadence
+    # refactorizes too.  After every step the kernel's mask is the one
+    # rebuilt from cols.
+    rng = np.random.default_rng(seed)
+    m, n = 5, 9
+    ext = np.hstack([rng.standard_normal((m, n)), np.eye(m)])
+    basis = simplex._Basis(ext, np.arange(n, n + m))
+
+    def rebuilt():
+        mask = np.zeros(n + m, dtype=bool)
+        mask[:n] = True
+        mask[basis.cols] = False
+        return mask
+
+    assert basis.n == n and np.array_equal(basis.enterable, rebuilt())
+    kinds = []
+    for step, draw in enumerate(draws):
+        nonbasic = np.setdiff1d(np.arange(n + m), basis.cols)
+        D = np.abs(basis.solve(ext[:, nonbasic]))
+        pairs = np.argwhere(D >= 0.2 * np.maximum(1.0, D.max(axis=0)))
+        pos, k = pairs[draw % len(pairs)]
+        q = int(nonbasic[k])
+        d = basis.solve(ext[:, q])
+        if step == forced:
+            d[pos] = 0.0
+            assert abs(d[pos]) <= basis.pivot_floor(d)
+        due = basis._updates >= simplex.REFACTOR_EVERY
+        basis.update(pos, q, d)
+        kinds.append("forced" if step == forced else "cadence" if due else "update")
+        assert (basis._updates == 0) == (kinds[-1] != "update")
+        assert np.array_equal(basis.enterable, rebuilt())
+        assert np.allclose(basis.solve(ext[:, basis.cols]), np.eye(m), atol=1e-8)
+    assert {"forced", "cadence"} <= set(kinds)
+
+
+def test_bland_rule_past_the_stall_limit_reaches_the_optimum(monkeypatch):
+    # With STALL_LIMIT at 0, each phase prices its first pivot by Dantzig's
+    # rule and every later one by Bland's.  On this LP the two rules bring
+    # in different columns, so the Bland branch runs, and both solves reach
+    # HiGHS's optimum.
+    A, b, c = random_bounded_lp(0, m=4, n=8)
+    ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert ref.status == 0
+    inner = simplex._Basis.update
+    entering = {}
+    for limit in (simplex.STALL_LIMIT, 0):
+        monkeypatch.setattr(simplex, "STALL_LIMIT", limit)
+        seq = entering[limit] = []
+
+        def recording(self, pos, new_col, direction, seq=seq):
+            seq.append(new_col)
+            inner(self, pos, new_col, direction)
+
+        monkeypatch.setattr(simplex._Basis, "update", recording)
+        res = solve_standard_lp(A, b, c)
+        assert res.status == "optimal"
+        assert abs(res.objective - ref.fun) <= 1e-9 * (1.0 + abs(ref.fun))
+        assert np.abs(A @ res.x - b).max() <= 1e-9 and res.x.min() >= 0.0
+    dantzig, bland = entering.values()
+    assert dantzig[0] == bland[0] and dantzig != bland
