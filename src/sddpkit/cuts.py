@@ -172,9 +172,9 @@ class CutPool:
             )
         self._buckets[t][info_index].add(cut)
 
-    def evaluate(self, t: int, info_index: int, R) -> float | None:
-        """Max over cuts at R; ``None`` when the collection is empty (the
-        callers then omit the future-value term entirely)."""
+    def values(self, t: int, info_index: int, R) -> np.ndarray | None:
+        """Each cut's value at R, in the family's order, from the stacked
+        ``offsets + betas @ R``; ``None`` when the family is empty."""
         R = np.asarray(R, dtype=float)
         if R.shape != (self.resource_dims[t],):
             raise DimensionMismatch(
@@ -184,7 +184,13 @@ class CutPool:
         if not bucket.cuts:
             return None
         betas, offsets = bucket.stacked()
-        return float((offsets + betas @ R).max())
+        return offsets + betas @ R
+
+    def evaluate(self, t: int, info_index: int, R) -> float | None:
+        """Max over cuts at R; ``None`` when the collection is empty (the
+        callers then omit the future-value term entirely)."""
+        values = self.values(t, info_index, R)
+        return None if values is None else float(values.max())
 
     def embed(
         self, t: int, info_index: int, stage_spec: SubproblemSpec, B: np.ndarray

@@ -472,17 +472,20 @@ def estimate_upper_bound(
     the solver and the debug-dump directory.
 
     The paths share one table, fresh on each call (see
-    ``policy_decision``).  It holds warm starts: every LP but the first of
-    its shape starts warm.  A warm and a cold solve agree on the objective
-    only to the simplex's optimality tolerance, and where optimal vertices
-    tie they can return different decisions, so the mean is not
-    bit-identical to that of a simulation that starts its LPs otherwise.
-    It also holds the ``StageLP`` of each (stage, outcome) with its
-    cut-embedded spec: the matrix and cost, built on the first visit, and
-    the basis factor that LP's last solve ended on.  A visit that starts
-    from that basis starts from its factor instead of factorizing it.  This
-    changes no decision: the carried factor is the one a fresh
-    factorization would compute, bit for bit.
+    ``policy_decision``).  It holds the ``StageLP`` of each (stage,
+    outcome) with its held spec, which embeds only the cuts its visits
+    needed (one at first, more when a solution violates others), its last
+    basis and the live basis inverse that basis ended on, and the last
+    basis of each LP shape.  So every LP but the first of its shape starts
+    warm, and a visit that starts where its LP last ended starts from that
+    inverse instead of a factorization.  Each visit's final point
+    satisfies every cut of its family, so its objective is the one with
+    every cut embedded, to the solver's tolerances.  A warm and a cold
+    solve agree on the objective only to the simplex's optimality
+    tolerance, and where optimal vertices tie the embedded rows, the start
+    and the carried inverse can each pick a different decision, so the
+    mean is not bit-identical to that of a simulation that builds or
+    starts its LPs otherwise.
 
     Each node of the sampled tree is solved once: a path whose outcomes up
     to stage t equal an earlier path's (the key ``path.indices[:t]``)
@@ -502,10 +505,9 @@ def estimate_upper_bound(
             "upper-bound estimation requires at least one cut at every "
             "stage t < T (every information state)"
         )
-    # The pool is fixed while paths are simulated, so the LP under each
-    # (stage, information state) keeps its shape: the basis of the last path
-    # warm-starts the next, and a first visit starts from the last LP of
-    # the same shape.  Only the first LP of each shape starts cold.
+    # The pool is fixed while paths are simulated, so each held LP only
+    # grows: the basis of its last solve warm-starts the next, and a first
+    # visit starts from the last LP of the same shape.
     lps: dict = {}
     nodes: dict = {}  # path.indices[:t] -> (stage cost, post-decision resource)
 
@@ -547,33 +549,43 @@ def policy_decision(
     non-terminal stage.  ``config`` supplies the solver and the debug-dump
     directory.
 
-    Without ``lps`` the LP is built afresh and starts cold.  ``lps`` is the
-    table of a simulation, in which ``pool`` stays fixed.  Under
-    ``(t, outcome)`` it holds the ``StageLP``: the first visit builds and
-    holds its cut-embedded spec with a ``CarriedFactor``, later visits fold
-    their ``R_prev`` into its right-hand side.  The bundled solver then
-    starts a visit whose start basis is the one that LP last ended on from
-    that solve's fresh basis inverse, which gives the same bits as
-    factorizing it again.  The LP starts from the basis stored under
-    ``("info", t, info_index)`` (the pool is fixed, so that LP keeps its
-    shape); when that key holds none, from the last basis stored by any LP
-    of the same shape, under ``("shape", n_rows, n_cols)`` (a sibling
-    information state, or the previous stage when stages share their
-    matrix); otherwise cold.  It stores its own basis under both keys.  The
-    simplex repairs or rejects a start that does not fit: by dual simplex,
-    phase 1, or its cold retry."""
+    Without ``lps`` the LP embeds every cut of the family, is built afresh
+    and starts cold.  ``lps`` is the table of a simulation, in which
+    ``pool`` stays fixed.  Under ``(t, outcome)`` it holds the ``StageLP``,
+    whose held spec embeds an active subset of the family's cuts
+    (``stages.policy_subproblem``); each visit folds its ``R_prev`` into
+    that spec's right-hand side.  After each solve every cut of the family
+    is evaluated at the solution (``StageLP.separate``); while some are
+    violated, their rows are added and the LP is solved again.  So the
+    final point satisfies every cut and its objective is the full LP's,
+    while the decision can differ from the full LP's where optima tie.
+
+    Each solve starts from the basis the LP last ended on, completed by the
+    slacks of the rows added since, and the bundled solver starts it from
+    the live basis inverse that solve left in the spec's slot.  A first
+    visit starts from the last basis stored by any LP of the same shape,
+    under ``("shape", n_rows, n_cols)`` (a sibling outcome, or the previous
+    stage when stages share their matrix); otherwise cold.  The simplex
+    repairs or rejects a start that does not fit: by dual simplex, phase 1,
+    or its cold retry."""
     config = config or EngineConfig()
     table = {} if lps is None else lps
     lp = table.get((t, outcome))
     if lp is None:
         lp = table[(t, outcome)] = StageLP(problem, t, outcome)
-    spec = policy_subproblem(lp, pool, R_prev, hold=lps is not None)
+    key = ("policy", t, outcome)
+    while True:
+        spec = policy_subproblem(lp, pool, R_prev, hold=lps is not None)
+        shape = ("shape", spec.n_rows, spec.n_cols)
+        start = lp.start("policy", spec)
+        sol = _solve_spec(
+            config, spec, key, t, outcome, table.get(shape) if start is None else start
+        )
+        _keep_basis(lp.bases, "policy", sol, spec)
+        _keep_basis(table, shape, sol, spec)
+        if not lp.separate(pool, sol.y):
+            break
     info_index = pool.info_index(t, outcome)
-    own, shape = ("info", t, info_index), ("shape", spec.n_rows, spec.n_cols)
-    start = table.get(own, table.get(shape))
-    sol = _solve_spec(config, spec, ("policy", t, outcome), t, outcome, start)
-    _keep_basis(table, own, sol, spec)
-    _keep_basis(table, shape, sol, spec)
     x = sol.y[: lp.n_stage]
     return PolicyDecision(
         x=x,

@@ -23,19 +23,31 @@ the routines behind ``scipy.linalg.lu_factor`` and ``lu_solve``, with the
 same results bit for bit, without their per-call argument handling.  A
 solve that breaks down numerically is retried once from a cold start.
 
-A solve can carry its basis factor to the next solve of the same matrix
-(``CarriedFactor``).  Every solve ends in ``_polish`` on a freshly
-factorized inverse; the next solve of that matrix from the same columns
-starts from this inverse instead of factorizing again.  That is exact
-because the extended matrix differs between the two solves only in the
-signs of rows (``_oriented_rows`` flips each row whose right-hand side is
-negative), and LU with partial pivoting is sign-symmetric: the pivot search
-compares magnitudes, so flipping row i of B flips row i of L and leaves
-every rounding unchanged, and the fresh inverse of the flipped basis is the
-old inverse with column i negated, bit for bit.  The inverse must stay in
-Fortran order, as ``dgetrs`` returns it: BLAS rounds ``inv @ v`` and
-``inv.T @ v`` differently over a C-ordered copy of the same numbers, and
-that moves pivots.
+A solve can carry its basis inverse to the next solve of the same matrix
+from the same columns (``CarriedFactor``), which then starts from it
+instead of factorizing.  Between the two solves the extended matrix
+differs only in the signs of rows (``_oriented_rows`` flips each row whose
+right-hand side is negative), and the inverse of the flipped basis is the
+old inverse with the flipped rows' columns negated.  A slot is one of two
+kinds, fixed where it is made:
+- A *fresh* slot (the QP's starting LP) holds the inverse that ``_polish``
+  factorized at the end of the solve.  Starting from it is exact: LU with
+  partial pivoting is sign-symmetric (the pivot search compares
+  magnitudes, so flipping row i of B flips row i of L and leaves every
+  rounding unchanged), so the carried inverse is the fresh inverse of the
+  flipped basis bit for bit, and the result is that of a solve without
+  the slot.
+- A *live* slot (the policy simulation's) holds the inverse a solve ends
+  on as it is, updates and all, with its update count: the next solve
+  refactorizes on the ``REFACTOR_EVERY`` cadence counted across solves,
+  and its ``_polish`` relies on iterative refinement instead of a fresh
+  factorization.  When rows are appended to its matrix, each with its
+  surplus slack, the held inverse is bordered by those slacks
+  (``CarriedFactor.grow``).  Its results agree with a fresh solve only to
+  rounding, and where optimal vertices tie they can differ.
+A carried inverse must stay in Fortran order, as ``dgetrs`` returns it and
+the updates keep it: BLAS rounds ``inv @ v`` and ``inv.T @ v`` differently
+over a C-ordered copy of the same numbers, and that moves pivots.
 """
 from __future__ import annotations
 
@@ -91,12 +103,20 @@ class _Basis:
     """
 
     PIVOT_REL = 1e-8
+    # A live basis (a solve with a live ``CarriedFactor``) ends on its
+    # updated inverse: ``_polish`` does not refactorize it first.
+    live = False
 
     def __init__(
-        self, matrix: np.ndarray, cols: np.ndarray, inv: np.ndarray | None = None
+        self,
+        matrix: np.ndarray,
+        cols: np.ndarray,
+        inv: np.ndarray | None = None,
+        updates: int = 0,
     ):
-        """Factorize ``matrix[:, cols]``, or take ``inv``, which must be its
-        freshly factorized inverse (``CarriedFactor.take``)."""
+        """Factorize ``matrix[:, cols]``, or take ``inv``, its inverse after
+        ``updates`` rank-one updates since its factorization
+        (``CarriedFactor.basis``)."""
         self.matrix = matrix
         self.n = matrix.shape[1] - matrix.shape[0]
         self.cols = np.array(cols, dtype=int)
@@ -107,7 +127,7 @@ class _Basis:
         else:
             self._inv = inv
             self._factored = self.cols.copy()
-            self._updates = 0
+            self._updates = updates
 
     @classmethod
     def pivot_floor(cls, direction: np.ndarray) -> float:
@@ -172,25 +192,30 @@ class _Basis:
 
 
 class CarriedFactor:
-    """The freshly factorized basis inverse a solve ended on, held for the
-    next solve of the same matrix ``A`` (the module docstring says why that
-    is exact).  ``A`` must not change in place while the factor is held."""
+    """The basis inverse a solve ended on, held for the next solve of the
+    same matrix object ``A``.  A fresh slot (the default) holds the inverse
+    ``_polish`` factorized; a ``live`` slot holds the inverse as the solve
+    left it, with its update count (the module docstring says what each
+    kind keeps).  ``A`` must not change in place while the factor is held."""
 
-    __slots__ = ("A", "cols", "signs", "inv")
+    __slots__ = ("live", "A", "cols", "signs", "inv", "updates")
 
-    def __init__(self):
+    def __init__(self, live: bool = False):
+        self.live = live
         self.A = self.cols = self.signs = self.inv = None
+        self.updates = 0
 
     def keep(self, A: np.ndarray, signs: np.ndarray, basis: _Basis) -> None:
-        """Hold the inverse of ``basis``, which must be fresh, over the
-        extended matrix of ``A`` oriented by ``signs``.  A basis with an
-        artificial column is not held: its identity column does not flip
-        with its row."""
+        """Hold the inverse of ``basis`` (fresh, unless the slot is live)
+        over the extended matrix of ``A`` oriented by ``signs``.  A basis
+        with an artificial column is not held: its identity column does not
+        flip with its row."""
         if basis.cols.max(initial=-1) < A.shape[1]:
             self.A, self.cols, self.signs, self.inv = A, basis.cols, signs, basis._inv
+            self.updates = basis._updates
 
     def take(self, A: np.ndarray, signs: np.ndarray, cols) -> np.ndarray | None:
-        """The fresh inverse of the columns ``cols`` of ``A`` oriented by
+        """The held inverse of the columns ``cols`` of ``A`` oriented by
         ``signs``, if held; the caller owns it and the slot is emptied.
         Otherwise ``None``."""
         if self.inv is None or self.A is not A or not np.array_equal(cols, self.cols):
@@ -202,6 +227,34 @@ class CarriedFactor:
             inv[:, flip] = -inv[:, flip]
         self.A = self.cols = self.signs = self.inv = None
         return inv
+
+    def grow(self, old: np.ndarray, A: np.ndarray) -> None:
+        """Follow the matrix ``old`` to ``A``, which appends k rows to it,
+        each with its surplus slack (its one nonzero, -1) among the k new
+        last columns.  A held inverse of ``old`` becomes that of its basis
+        bordered by those slacks: ``[[B, 0], [R, -I]]``, whose inverse is
+        ``[[B^-1, 0], [R B^-1, -I]]`` with R the new rows at the basic
+        columns, in the rows' unflipped orientation.  The update count
+        carries over."""
+        if self.inv is None or self.A is not old:
+            return
+        m, k = old.shape[0], A.shape[0] - old.shape[0]
+        inv = np.zeros((m + k, m + k), order="F")
+        inv[:m, :m] = self.inv
+        inv[m:, :m] = A[m:, self.cols] @ self.inv
+        inv[m:, m:] = -np.eye(k)
+        slacks = np.arange(A.shape[1] - k, A.shape[1])
+        self.A, self.inv = A, inv
+        self.cols = np.concatenate([self.cols, slacks])
+        self.signs = np.concatenate([self.signs, np.ones(k)])
+
+    def basis(self, ext: np.ndarray, A: np.ndarray, signs: np.ndarray, cols):
+        """The ``_Basis`` of ``cols`` on ``ext``, the extended matrix of ``A``
+        oriented by ``signs``, from the held inverse and its update count;
+        ``None`` when ``take`` finds none."""
+        updates = self.updates
+        inv = self.take(A, signs, cols)
+        return None if inv is None else _Basis(ext, cols, inv, updates)
 
 
 @dataclass
@@ -328,9 +381,9 @@ def _crash_basis(ext: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _warm_basis(ext: np.ndarray, bw: np.ndarray, start_basis, inv_of=None):
+def _warm_basis(ext: np.ndarray, bw: np.ndarray, start_basis, basis_of=None):
     """Factorize a warm start on the extended matrix of ``_oriented_rows``,
-    or take its fresh inverse from ``inv_of(cols)`` when that returns one.
+    or take its carried basis from ``basis_of(cols)`` when that returns one.
 
     Returns ``(basis, x_b, feasible)``, with ``x_b`` the basic values at
     ``bw`` (clipped at zero when ``feasible``, that is when none is below
@@ -343,16 +396,17 @@ def _warm_basis(ext: np.ndarray, bw: np.ndarray, start_basis, inv_of=None):
     m = bw.shape[0]
     n = ext.shape[1] - m
     cols = np.asarray(start_basis, dtype=int)
-    inv = None if inv_of is None else inv_of(cols)
+    basis = None if basis_of is None else basis_of(cols)
     # A held inverse vouches for its columns: they ended a solve.
-    if inv is None and not (
-        cols.shape == (m,)
-        and len(np.unique(cols)) == m
-        and cols.min(initial=0) >= 0
-        and cols.max(initial=-1) < n
-    ):
-        return None
-    basis = _Basis(ext, cols, inv)
+    if basis is None:
+        if not (
+            cols.shape == (m,)
+            and len(np.unique(cols)) == m
+            and cols.min(initial=0) >= 0
+            and cols.max(initial=-1) < n
+        ):
+            return None
+        basis = _Basis(ext, cols)
     x_b = basis.solve(bw)
     feasible = x_b.min(initial=0.0) >= -1e-9
     if feasible:
@@ -360,25 +414,34 @@ def _warm_basis(ext: np.ndarray, bw: np.ndarray, start_basis, inv_of=None):
     return basis, x_b, feasible
 
 
+def _refine(solve, M: np.ndarray, v: np.ndarray):
+    """``solve(v)``, an approximate solution of ``M x = v``, refined by up
+    to five steps; returns it and whether its residual reached 1e-14 of
+    1 + max|v|."""
+    x = solve(v)
+    scale = 1.0 + np.abs(v).max(initial=0.0)
+    for _ in range(5):
+        resid = v - M @ x
+        if np.abs(resid).max(initial=0.0) <= 1e-14 * scale:
+            return x, True
+        x = x + solve(resid)
+    return x, False
+
+
 def _polish(basis: _Basis, rhs: np.ndarray, cost_basic: np.ndarray):
     """Recompute basic values and duals at the final basis with iterated
-    refinement (effective up to condition numbers around 1e13)."""
-    basis.refresh()
+    refinement (effective up to condition numbers around 1e13), on a fresh
+    factorization.  A live basis keeps its updated inverse and relies on
+    the refinement; when that misses 1e-14, the basis stops being live and
+    is polished again, from a fresh factorization."""
+    if not basis.live:
+        basis.refresh()
     B = basis.matrix[:, basis.cols]
-    x_b = basis.solve(rhs)
-    scale_b = 1.0 + np.abs(rhs).max(initial=0.0)
-    for _ in range(5):
-        resid = rhs - B @ x_b
-        if np.abs(resid).max(initial=0.0) <= 1e-14 * scale_b:
-            break
-        x_b = x_b + basis.solve(resid)
-    mu = basis.solve_transpose(cost_basic)
-    scale_c = 1.0 + np.abs(cost_basic).max(initial=0.0)
-    for _ in range(5):
-        resid = cost_basic - B.T @ mu
-        if np.abs(resid).max(initial=0.0) <= 1e-14 * scale_c:
-            break
-        mu = mu + basis.solve_transpose(resid)
+    x_b, primal_ok = _refine(basis.solve, B, rhs)
+    mu, dual_ok = _refine(basis.solve_transpose, B.T, cost_basic)
+    if basis.live and not (primal_ok and dual_ok):
+        basis.live = False
+        return _polish(basis, rhs, cost_basic)
     return x_b, mu
 
 
@@ -398,10 +461,12 @@ def solve_standard_lp(
     follows the basis kernel's one pivot rule.  A numerical breakdown is
     retried once from a cold start before it propagates.
 
-    With ``carry``, a start basis whose fresh inverse ``carry`` holds for
-    this ``A`` starts from that inverse instead of a factorization, and the
-    solve leaves its own final inverse there.  The result is bit for bit
-    the one without ``carry``.
+    With ``carry``, a start basis whose inverse ``carry`` holds for this
+    ``A`` starts from that inverse instead of a factorization, and the
+    solve leaves its own final inverse there.  With a fresh slot the result
+    is bit for bit the one without ``carry``; with a live slot it agrees
+    with that one to rounding, except where optimal vertices tie (module
+    docstring).
     """
     try:
         return _solve_lp_once(A, b, c, start_basis, carry)
@@ -438,7 +503,7 @@ def _solve_lp_once(
     basis = None
     try:
         warm = _warm_basis(
-            ext, bw, start_basis, None if carry is None else partial(carry.take, A, signs)
+            ext, bw, start_basis, None if carry is None else partial(carry.basis, ext, A, signs)
         )
         if warm is not None:
             cand, x_b, feasible = warm
@@ -490,6 +555,7 @@ def _solve_lp_once(
     status, x_b = _iterate(basis, cost2, x_b)
     if status == "unbounded":
         return LpResult(status="unbounded", feasible_basis=basis.cols.copy())
+    basis.live = carry is not None and carry.live
     x_b, mu = _polish(basis, bw, cost2[basis.cols])
     if carry is not None:
         carry.keep(A, signs, basis)

@@ -32,9 +32,12 @@ class SubproblemSpec:
     y >= 0``.  Any linking contribution is already folded into ``rhs``.
 
     ``factor``, when set, is the slot in which the bundled solver carries
-    an LP's basis factor from one solve of this ``A`` to the next: specs
-    that share one slot must share the ``A`` object too, unchanged.  It
-    changes no result, and no replay file records it."""
+    an LP's basis inverse from one solve of this ``A`` to the next; the
+    slot starts a solve from it only if it was held for this very ``A``
+    object, which must not change in place.  A fresh slot changes no
+    result.  A live slot (the policy simulation's) changes results only
+    to rounding, and decisions only where optimal vertices tie
+    (``simplex.CarriedFactor``).  No replay file records it."""
 
     c: np.ndarray
     A: np.ndarray

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sddpkit import engine, simplex
+from sddpkit import engine, simplex, stages
 from sddpkit.cuts import Cut, CutPool
 from sddpkit.engine import (
     EngineConfig,
@@ -317,30 +317,45 @@ def tree_nodes(p, n_paths, seed) -> list[tuple[int, ...]]:
     return list(nodes)
 
 
+class NodeRecords(list):
+    """One record per node of a simulated tree, for the node's final solve:
+    ``(t, info, R_prev, outcome, objective, spec, start, solution)``.
+    ``rounds[i]`` lists every ``(spec, start, solution)`` of node i, the
+    final one last."""
+
+    rounds: list
+
+
 def simulate_recorded(monkeypatch, p, pool, n_paths, seed):
-    """Run the policy simulation and return one record per policy solve:
-    ``(t, info, R_prev, outcome, objective, spec, start, solution)``.  The
-    simulation solves each node of its sampled tree once, in the order the
-    paths reach them."""
+    """Run the policy simulation and return a ``NodeRecords`` of it.  The
+    simulation solves each node of its sampled tree, in the order the paths
+    reach them, until its solution satisfies every cut of its family: the
+    final solve of each node is recorded, and the earlier ones, which added
+    cut rows, are in ``rounds``."""
     steps = []
     inner = engine.policy_decision
+    solver = RecordsCalls()
 
     def recording(problem, pool, t, outcome, R_prev, **kwargs):
+        first = len(solver.calls)
         step = inner(problem, pool, t, outcome, R_prev, **kwargs)
-        steps.append((t, pool.info_index(t, outcome), R_prev, outcome, step.objective))
+        info = pool.info_index(t, outcome)
+        steps.append(((t, info, R_prev, outcome, step.objective), solver.calls[first:]))
         return step
 
     monkeypatch.setattr(engine, "policy_decision", recording)
-    solver = RecordsCalls()
     rng = np.random.default_rng(seed)
     estimate_upper_bound(p, pool, n_paths, rng, config=EngineConfig(solver=solver))
     monkeypatch.undo()
     nodes = tree_nodes(p, n_paths, seed)
-    assert len(steps) == len(solver.calls) == len(nodes)
-    assert [(t, outcome) for t, _, _, outcome, _ in steps] == [
+    assert len(steps) == len(nodes)
+    assert sum(len(rounds) for _, rounds in steps) == len(solver.calls)
+    assert [(t, outcome) for (t, _, _, outcome, _), _ in steps] == [
         (len(node), node[-1] if node else -1) for node in nodes
     ]
-    return [step + call for step, call in zip(steps, solver.calls)]
+    records = NodeRecords(step + rounds[-1] for step, rounds in steps)
+    records.rounds = [rounds for _, rounds in steps]
+    return records
 
 
 def test_paths_through_a_node_share_its_solve(monkeypatch):
@@ -382,43 +397,52 @@ def test_paths_through_a_node_share_its_solve(monkeypatch):
 
 
 def check_start_rule(records) -> tuple[int, int]:
-    """Assert each start is the last basis stored under the solve's own
-    (stage, information state), or else the last of an LP of the same
-    shape, or else cold.  Returns how many first visits of a key started
-    from a sibling at the same stage and from an earlier stage."""
+    """Assert each solve starts from the last basis its own (stage, outcome)
+    LP kept, completed by the slacks of the cut rows added since; or else
+    from the last basis of an LP of the same shape; or else cold.  Returns
+    how many first visits of an LP started from a sibling at the same stage
+    and from an earlier stage."""
     own, by_shape, stages_of_shape = {}, {}, {}
     sibling = earlier = 0
-    for t, info, _, _, _, spec, start, sol in records:
-        shape = spec.A.shape
-        want = own.get((t, info))
-        if want is None:
-            want = by_shape.get(shape)
+    for (t, _, _, outcome, *_), rounds in zip(records, records.rounds):
+        for spec, start, sol in rounds:
+            shape = spec.A.shape
+            want = own.get((t, outcome))
             if want is not None:
-                if t in stages_of_shape[shape]:
-                    sibling += 1
-                else:
-                    earlier += 1
-        if want is None:
-            assert start is None
-        else:
-            assert np.array_equal(start, want)
-        if sol.basis.max(initial=-1) < spec.n_cols:
-            own[(t, info)] = by_shape[shape] = sol.basis
-            stages_of_shape.setdefault(shape, set()).add(t)
+                extra = spec.n_rows - want.shape[0]
+                slacks = np.arange(spec.n_cols - extra, spec.n_cols)
+                want = np.concatenate([want, slacks])
+            else:
+                want = by_shape.get(shape)
+                if want is not None:
+                    if t in stages_of_shape[shape]:
+                        sibling += 1
+                    else:
+                        earlier += 1
+            if want is None:
+                assert start is None
+            else:
+                assert np.array_equal(start, want)
+            if sol.basis.max(initial=-1) < spec.n_cols:
+                own[(t, outcome)] = by_shape[shape] = sol.basis
+                stages_of_shape.setdefault(shape, set()).add(t)
     return sibling, earlier
 
 
 def test_policy_simulation_warm_starts_after_first_path(monkeypatch):
     # Only the first LP of each shape starts cold: the first visit of a
-    # (stage, information state) starts from the last LP of its shape.
+    # (stage, outcome) starts from the last LP of its shape, and every later
+    # solve of it from its own last basis.
     p, _ = random_recourse_instance(21, T=3)
     pool, _ = run(p, EngineConfig(iterations=8, seed=0, ub_every=0))
     records = simulate_recorded(monkeypatch, p, pool, 6, 0)
     seen = set()
-    for *_, spec, start, _ in records:
-        assert (start is None) == (spec.A.shape not in seen)
-        seen.add(spec.A.shape)
-    assert len(seen) < p.T + 1  # some first-path solves start warm
+    for rounds in records.rounds:
+        for i, (spec, start, _) in enumerate(rounds):
+            assert (start is None) == (i == 0 and spec.A.shape not in seen)
+            seen.add(spec.A.shape)
+    # some first-path solves start warm
+    assert any(rounds[0][1] is not None for rounds in records.rounds[: p.T + 1])
     check_start_rule(records)
 
 
@@ -434,8 +458,9 @@ def test_warm_policy_simulation_matches_cold_decisions(monkeypatch):
     records = simulate_recorded(monkeypatch, p, pool, 5, 1)
     # all but the first LP of each shape start warm, so the comparison
     # checks warm solves against cold ones
-    cold = sum(start is None for *_, start, _ in records)
-    assert cold == len({spec.A.shape for *_, spec, _, _ in records})
+    solves = [solve for rounds in records.rounds for solve in rounds]
+    cold = sum(start is None for _, start, _ in solves)
+    assert cold <= len({spec.A.shape for spec, _, _ in solves}) < len(solves)
     check_start_rule(records)
     assert_matches_cold(p, pool, records)
 
@@ -459,10 +484,65 @@ def test_warm_policy_simulation_across_families_matches_cold(monkeypatch):
     assert_matches_cold(p, pool, records)
 
 
-def test_carried_factors_give_the_bits_of_fresh_solves(monkeypatch):
-    # Each (stage, outcome) LP of a simulation carries the factor its last
-    # solve ended on.  Every recorded solve, repeated from the same start
-    # with fresh factorizations only, must return the same bits.
+@pytest.mark.parametrize("instance", ["storage", "recourse"])
+def test_simulated_points_satisfy_every_cut_of_their_family(monkeypatch, instance):
+    # Each node's final point satisfies every cut of its family, not only
+    # the rows its LP embeds, so its objective is the full LP's.
+    if instance == "storage":
+        p, n_paths = storage_instance(), 6
+    else:
+        p, _ = random_recourse_instance(23, T=4)
+        n_paths = 8
+    pool, _ = run(p, EngineConfig(iterations=6, seed=0, ub_every=0))
+    records = simulate_recorded(monkeypatch, p, pool, n_paths, 3)
+    for t, info, _, outcome, _, spec, _, sol in records:
+        if t == p.T:
+            continue
+        real = p.realization(t, outcome)
+        n = real.n_cols
+        assert spec.n_rows - real.n_rows <= pool.n_cuts(t, info)
+        theta = sol.y[n] - sol.y[n + 1]
+        values = pool.values(t, info, real.B @ sol.y[:n])
+        assert values.max() <= theta + stages.SEPARATION_TOL * (1.0 + abs(theta))
+    assert_matches_cold(p, pool, records)
+    # some node added rows to its seed cut
+    assert any(len(rounds) > 1 for rounds in records.rounds)
+
+
+def test_separation_adds_the_binding_cut_its_seed_misses():
+    # Stage 1 moves the resource from R_prev = 0 to R = R_prev + 8.  Of the
+    # two stage-1 cuts, 10 - R is highest at R_prev and seeds the LP, but
+    # 3R - 20 binds at R = 8: the first solve violates it, and the second
+    # solve, with its row added, reaches the full LP's objective 4.
+    stage0 = StageRealization(A=[[1.0, 1.0]], B=[[1.0, 0.0]], b=[3.0], c=[1.0, 0.0])
+    stage1 = StageRealization(A=[[-1.0]], B=[[1.0]], b=[-8.0], c=[0.0])
+    stage2 = StageRealization(A=[[1.0, -1.0]], B=np.zeros((0, 2)), b=[1.0], c=[1.0, 0.0])
+    process = UncertaintyProcess(
+        kind=ProcessKind.STAGEWISE_INDEPENDENT,
+        outcomes=((stage1,), (stage2,)),
+        probs=(np.array([1.0]), np.array([1.0])),
+    )
+    p = MultistageProblem(T=2, stage0=stage0, process=process, resource_dims=(1, 1))
+    pool = CutPool.for_problem(p)
+    pool.add_cut(1, 0, Cut(10.0, np.array([-1.0]), np.array([0.0]), 0))
+    pool.add_cut(1, 0, Cut(4.0, np.array([3.0]), np.array([8.0]), 1))
+    solver = RecordsCalls()
+    lps = {}
+    step = policy_decision(
+        p, pool, 1, 0, np.array([0.0]), config=EngineConfig(solver=solver), lps=lps
+    )
+    assert [spec.n_rows for spec, _, _ in solver.calls] == [2, 3]
+    assert list(lps[(1, 0)].active) == [0, 1]
+    cold = policy_decision(p, pool, 1, 0, np.array([0.0]))
+    assert step.objective == pytest.approx(4.0) == cold.objective
+
+
+def test_live_carried_factors_match_fresh_solves(monkeypatch):
+    # Each (stage, outcome) LP of a simulation carries the live inverse its
+    # last solve ended on, bordered by the slacks of the cut rows added
+    # since.  Every solve, repeated from the same start with fresh
+    # factorizations only, must reach the same objective, and the carried
+    # run must factorize less than the fresh one.
     p = storage_instance()
     pool, _ = run(p, EngineConfig(iterations=6, seed=0, ub_every=0))
     factorizations = []
@@ -477,17 +557,19 @@ def test_carried_factors_give_the_bits_of_fresh_solves(monkeypatch):
     carried_run = len(factorizations)
     monkeypatch.setattr(simplex, "lu_factor", counted)
     last = {}
-    carried = 0
-    for t, _, _, outcome, _, spec, start, sol in records:
-        assert spec.factor is not None
-        carried += start is not None and np.array_equal(start, last.get((t, outcome)))
-        last[(t, outcome)] = sol.basis
-        fresh = BundledSolver().solve(replace(spec, factor=None), start)
-        assert np.array_equal(fresh.y, sol.y)
-        assert np.array_equal(fresh.duals, sol.duals)
-        assert np.array_equal(fresh.basis, sol.basis)
-        assert fresh.objective == sol.objective
-    assert carried >= len(records) // 2
+    carried = solves = 0
+    for (t, _, _, outcome, *_), rounds in zip(records, records.rounds):
+        for spec, start, sol in rounds:
+            solves += 1
+            assert spec.factor is not None and spec.factor.live
+            own = last.get((t, outcome))
+            carried += own is not None and np.array_equal(start[: own.shape[0]], own)
+            last[(t, outcome)] = sol.basis
+            fresh = BundledSolver().solve(replace(spec, factor=None), start)
+            assert fresh.objective == pytest.approx(sol.objective, rel=1e-9, abs=1e-9)
+            scale = 1.0 + np.abs(spec.rhs).max()
+            assert np.abs(spec.A @ sol.y - spec.rhs).max() <= 1e-9 * scale
+    assert carried >= solves // 2
     # the fresh solves factorized every start the simulation carried
     assert len(factorizations) - carried_run >= carried_run + carried
 
@@ -532,7 +614,8 @@ def test_training_lps_start_from_their_roles_kept_basis(monkeypatch):
 
 def test_held_stage_lp_relinks_the_same_matrix():
     # A held spec visited at a new R_prev keeps its matrix, cost and factor
-    # slot, and equals a fresh build at that R_prev bit for bit.
+    # slot, and equals the rows and columns of its active cuts in a fresh
+    # build at that R_prev, with every cut embedded, bit for bit.
     p = storage_instance()
     pool, _ = run(p, EngineConfig(iterations=6, seed=0, ub_every=0))
     rng = np.random.default_rng(0)
@@ -544,9 +627,13 @@ def test_held_stage_lp_relinks_the_same_matrix():
     assert again.A is first.A and again.c is first.c
     assert again.factor is first.factor and first.factor is not None
     assert fresh.factor is None and fresh.A is not first.A
-    assert again.n_rows > p.realization(3, 1).n_rows  # cuts are embedded
+    m, n = lp.real.n_rows, lp.n_stage
+    assert len(lp.active) == 1 and again.n_rows == m + 1  # one cut is embedded
+    rows = np.concatenate([np.arange(m), m + lp.active])
+    cols = np.concatenate([np.arange(n + 2), n + 2 + lp.active])
+    taken = {"c": fresh.c[cols], "A": fresh.A[np.ix_(rows, cols)], "rhs": fresh.rhs[rows]}
     for name in ("c", "A", "rhs"):
-        assert getattr(again, name).tobytes() == getattr(fresh, name).tobytes()
+        assert getattr(again, name).tobytes() == taken[name].tobytes()
     assert again.rhs.tobytes() != first.rhs.tobytes()
 
 

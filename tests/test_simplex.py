@@ -402,3 +402,112 @@ def test_bland_rule_past_the_stall_limit_reaches_the_optimum(monkeypatch):
         assert np.abs(A @ res.x - b).max() <= 1e-9 and res.x.min() >= 0.0
     dantzig, bland = entering.values()
     assert dantzig[0] == bland[0] and dantzig != bland
+
+
+def slack_pair_chain(seed: int, n_solves: int):
+    """An LP whose every right-hand side is feasible (slack pairs on each
+    row, and a sum row that bounds the other variables), with ``n_solves``
+    right-hand sides that flip some rows' signs from one to the next."""
+    rng = np.random.default_rng(seed)
+    m, k = 7, 5
+    A = np.hstack([rng.standard_normal((m, k)), np.eye(m), -np.eye(m)])
+    c = np.concatenate([rng.uniform(-1.0, 0.0, k), rng.uniform(1.0, 2.0, 2 * m)])
+    A = np.vstack([A, np.concatenate([np.ones(k), np.zeros(2 * m)])])
+    A = np.hstack([A, np.eye(m + 1)[:, -1:]])  # x sum + s = 4
+    c = np.append(c, 0.0)
+    rhs = [np.append(rng.standard_normal(m), 4.0) for _ in range(n_solves)]
+    return A, c, rhs
+
+
+def live_chain(A, c, rhs, carry):
+    """Warm solves of ``A`` at each right-hand side in turn, each from the
+    basis the previous one ended on, all with the slot ``carry``."""
+    results = [solve_standard_lp(A, rhs[0], c, carry=carry)]
+    for b in rhs[1:]:
+        results.append(solve_standard_lp(A, b, c, start_basis=results[-1].basis, carry=carry))
+    return results
+
+
+def test_live_factor_refactorizes_on_the_cadence_counted_across_solves(monkeypatch):
+    # With a cadence of 4, a live slot carries each solve's update count
+    # into the next: an update refactorizes exactly when the count that
+    # reached it, carried in plus made since, is 4 (or its pivot is below
+    # the floor), and some do so in a solve that made fewer than 4 itself.
+    monkeypatch.setattr(simplex, "REFACTOR_EVERY", 4)
+    A, c, rhs = slack_pair_chain(6, 30)
+    inner = simplex._Basis.update
+    events = []
+
+    def recording(self, pos, new_col, direction):
+        before = self._updates
+        floor = abs(direction[pos]) <= self.pivot_floor(direction)
+        inner(self, pos, new_col, direction)
+        events.append((before, floor, self._updates))
+
+    monkeypatch.setattr(simplex._Basis, "update", recording)
+    carry = simplex.CarriedFactor(live=True)
+    res = solve_standard_lp(A, rhs[0], c, carry=carry)
+    carried_in = across = 0
+    for b in rhs[1:]:
+        held, start = carry.updates, res.basis
+        events.clear()
+        res = solve_standard_lp(A, b, c, start_basis=start, carry=carry)
+        assert res.status == "optimal"
+        for i, (before, floor, after) in enumerate(events):
+            assert after == (0 if before >= 4 or floor else before + 1)
+            across += before >= 4 and not floor and i < 4
+        if events and held and events[0][0] == held:
+            carried_in += 1
+        assert carry.updates == (events[-1][2] if events else held)
+    assert carried_in >= 5 and across >= 3
+
+
+def test_live_factor_follows_row_flips():
+    # The held inverse has updates since its factorization; taken for a
+    # right-hand side that flips rows, its flipped rows' columns are
+    # negated, so it inverts the flipped basis, in Fortran order.
+    A, c, rhs = slack_pair_chain(5, 12)
+    carry = simplex.CarriedFactor(live=True)
+    results = live_chain(A, c, rhs[:-1], carry)
+    assert carry.updates > 0 and np.array_equal(carry.cols, results[-1].basis)
+    held = carry.inv.copy()
+    signs2, ext2, _ = simplex._oriented_rows(A, rhs[-1])
+    flip = signs2 != carry.signs
+    assert flip.any() and not flip.all()
+    inv = carry.take(A, signs2, results[-1].basis)
+    assert inv.flags.f_contiguous and carry.inv is None
+    assert np.array_equal(inv[:, flip], -held[:, flip])
+    assert np.array_equal(inv[:, ~flip], held[:, ~flip])
+    B = ext2[:, results[-1].basis]
+    assert np.abs(inv @ B - np.eye(B.shape[0])).max() <= 1e-12
+
+
+def test_live_chain_matches_fresh_solves(monkeypatch):
+    # Each solve of a live chain satisfies the KKT conditions to the QP
+    # tests' tolerances, ends on the basis of the same warm solve without a
+    # carried factor, and factorizes less.
+    from test_qp import assert_kkt
+
+    A, c, rhs = slack_pair_chain(7, 25)
+    factorizations = []
+    inner = simplex.lu_factor
+
+    def counted(a):
+        factorizations.append(a.shape[0])
+        return inner(a)
+
+    monkeypatch.setattr(simplex, "lu_factor", counted)
+    results = live_chain(A, c, rhs, simplex.CarriedFactor(live=True))
+    n_live = len(factorizations)
+    factorizations.clear()
+    fresh = [solve_standard_lp(A, rhs[0], c)]
+    fresh += [
+        solve_standard_lp(A, b, c, start_basis=prev.basis)
+        for b, prev in zip(rhs[1:], results)
+    ]
+    G = np.zeros((A.shape[1], A.shape[1]))
+    for b, res, ref in zip(rhs, results, fresh):
+        assert_kkt(res, A, b, c, G)
+        assert np.array_equal(res.basis, ref.basis)
+        assert res.objective == pytest.approx(ref.objective, rel=1e-12, abs=1e-12)
+    assert n_live < len(factorizations)
