@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -377,16 +378,112 @@ def matrix_to_obj(mat: np.ndarray) -> dict:
 
 
 def _matrix_hook(obj: dict) -> dict:
-    """``object_hook`` of the instance reader: the ``data`` list of a
-    ``{rows, cols, data}`` object becomes an array as soon as the parser
-    closes the object, so at most one matrix is held as Python floats.  A
-    list that does not convert stays, for ``matrix_from_obj`` to reject."""
+    """``object_hook`` of the instance reader's text path: the ``data``
+    list of a ``{rows, cols, data}`` object becomes an array as soon as the
+    parser closes the object, so at most one matrix is held as Python
+    floats.  A list that does not convert stays, for ``matrix_from_obj`` to
+    reject."""
     if obj.keys() == {"rows", "cols", "data"} and type(obj["data"]) is list:
         try:
             obj["data"] = np.array(obj["data"], dtype=float)
         except (TypeError, ValueError, OverflowError):
             pass
     return obj
+
+
+# A JSON number with a fraction or an exponent: the tokens ``json`` parses
+# with ``float`` (an integer token becomes an ``int``, which the bulk
+# reader leaves to the text path).
+_FLOAT_TOKEN = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)")
+_NEWLINE, _SPACE, _COMMA, _ZERO, _POINT = b"\n ,0."
+
+
+def _bulk_floats(buf: bytes, start: int, stop: int, width: int) -> np.ndarray | None:
+    """The floats of ``buf[start:stop]``, the inside of a ``data`` list
+    whose key is indented by ``width`` spaces, when it has the layout
+    ``write_json`` gives it: one entry per line at ``width + 2`` spaces,
+    each but the last followed by a comma, and the closing bracket on its
+    own line at ``width``.  An entry ``0.0`` is found by comparing bytes;
+    any other must be a JSON number with a fraction or an exponent, and is
+    parsed with ``float``, as ``json`` parses it.  ``None`` for any other
+    layout or entry."""
+    seg = np.frombuffer(buf, np.uint8, stop - start, start)
+    lines = np.flatnonzero(seg == _NEWLINE)  # one per entry, then the bracket's
+    if lines.size < 2 or lines[0] != 0 or lines[-1] != seg.size - 1 - width:
+        return None
+    starts = lines[:-1] + (width + 3)
+    ends = np.append(lines[1:-1] - 1, lines[-1])
+    # Each entry's line is its indent, its token and a comma (none after
+    # the last), so the segment is newlines, commas, tokens and n indents
+    # of width + 2 bytes, then the bracket's indent of width.  Tokens hold
+    # no space (checked below), so counting the spaces checks every indent.
+    if (
+        (ends <= starts).any()
+        or (seg[ends[:-1]] != _COMMA).any()
+        or np.count_nonzero(seg == _SPACE) != starts.size * (width + 2) + width
+    ):
+        return None
+    zero = ends - starts == 3
+    at = starts[zero]
+    zero[zero] = (seg[at] == _ZERO) & (seg[at + 1] == _POINT) & (seg[at + 2] == _ZERO)
+    rest = np.flatnonzero(~zero)
+    tokens = [
+        buf[a:b]
+        for a, b in zip((starts[rest] + start).tolist(), (ends[rest] + start).tolist())
+    ]
+    if not all(map(_FLOAT_TOKEN.fullmatch, tokens)):
+        return None
+    out = np.zeros(starts.size)
+    out[rest] = list(map(float, tokens))
+    return out
+
+
+def _bulk_parse(buf: bytes):
+    """The JSON value of the instance text ``buf``, with each ``data`` list
+    converted by ``_bulk_floats`` rather than by the parser, or ``None``
+    when some ``"data"`` is not such a list (or the rest is not plain ASCII
+    JSON without escapes).
+
+    Each list is spliced out and replaced by its index, the few kB left
+    are parsed, and the hook puts the arrays back: an array under a
+    ``{rows, cols, data}`` object, as ``_matrix_hook`` makes it, and its
+    ``tolist()`` elsewhere, as the parser makes it.  Without a backslash,
+    ``"data"`` can only be spelled as those bytes, so every ``data`` key
+    the parser sees holds an index; each index must come back once."""
+    pieces, arrays, pos = [], [], 0
+    while (key := buf.find(b'"data"', pos)) >= 0:
+        line = buf.rfind(b"\n", 0, key) + 1
+        width = key - line
+        bracket = buf.find(b"]", key)
+        if buf[line:key] != b" " * width or not buf.startswith(b'"data": [', key):
+            return None
+        inside = key + len(b'"data": [')
+        if bracket == inside:
+            arr = np.zeros(0)
+        elif bracket < 0 or (arr := _bulk_floats(buf, inside, bracket, width)) is None:
+            return None
+        pieces += (buf[pos:key], b'"data": %d' % len(arrays))
+        arrays.append(arr)
+        pos = bracket + 1
+    pieces.append(buf[pos:])
+    rest = b"".join(pieces)
+    if b"\\" in rest or not rest.isascii():
+        return None
+    used = []
+
+    def put_back(obj: dict) -> dict:
+        index = obj.get("data")
+        if type(index) is int:
+            used.append(index)
+            arr = arrays[index]
+            obj["data"] = arr if obj.keys() == {"rows", "cols", "data"} else arr.tolist()
+        return obj
+
+    try:
+        obj = json.loads(rest.decode("ascii"), object_hook=put_back)
+    except json.JSONDecodeError:
+        return None
+    return obj if sorted(used) == list(range(len(arrays))) else None
 
 
 def matrix_from_obj(obj: dict) -> np.ndarray:
@@ -491,6 +588,26 @@ def _scalar_list(inner: str):
     return json.JSONEncoder(separators=(",\n" + inner, ": "), allow_nan=False).encode
 
 
+def _float_items(arr: np.ndarray, sep: str) -> list[str]:
+    """Pieces of ``sep.join(map(float.__repr__, arr.tolist()))``, the C
+    encoder's text for the items of a nonempty 1-D float64 array of finite
+    entries.  A run of +0.0 entries is one repeated ``"0.0" + sep``, and
+    only the other entries (``-0.0`` among them: its sign bit is set)
+    become Python floats."""
+    kept = np.flatnonzero((arr != 0.0) | np.signbit(arr))
+    gaps = np.diff(kept, prepend=-1) - 1  # the +0.0 entries before each kept one
+    tail = arr.size - 1 - (kept[-1] if kept.size else -1)
+    zero = "0.0" + sep
+    parts = []
+    for gap, x in zip(gaps.tolist(), arr[kept].tolist()):
+        parts += (zero * gap, float.__repr__(x), sep)
+    if tail:
+        parts.append(zero * (tail - 1) + "0.0")
+    else:
+        parts.pop()  # no separator after the last entry
+    return parts
+
+
 _CONTAINERS = (dict, list, tuple, np.ndarray)
 
 
@@ -498,10 +615,17 @@ def _encode(write, obj, pad: str) -> None:
     """Write ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True,
     allow_nan=False)`` writes it at indent ``pad``, an ``ndarray`` as its
     ``tolist()``.  Containers of containers recurse here; a list of scalars
-    goes to the C encoder in one call.  An array becomes Python objects only
-    here, just before it is written, so one at a time exists as such."""
+    goes to the C encoder in one call.  A nonempty 1-D float64 array of
+    finite entries is written in bulk (``_float_items``); any other array
+    becomes Python objects only here, just before it is written, so one at
+    a time exists as such."""
     inner = pad + "  "
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.size and obj.dtype == np.float64 and np.isfinite(obj).all():
+            write("[\n" + inner)
+            write("".join(_float_items(obj, ",\n" + inner)))
+            write("\n" + pad + "]")
+            return
         obj = obj.tolist()
     if isinstance(obj, dict) and obj:
         for k, (key, value) in enumerate(sorted(obj.items())):
@@ -529,6 +653,8 @@ def write_json(path, fmt: str, version: int, body: dict) -> None:
     """Write ``body`` under a ``format``/``version`` header as the canonical
     text ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` plus
     a newline (sorted keys, two-space indent, shortest round-trip floats).
+    A float array, such as a matrix's ``data``, is written in bulk: only
+    its nonzero entries are formatted one by one (``_encode``).
 
     The text is streamed to a temporary file beside ``path`` that then
     replaces it, so the whole text is never held in memory and a failed
@@ -549,14 +675,19 @@ def write_json(path, fmt: str, version: int, body: dict) -> None:
         raise
 
 
-def load_json(path, what: str, from_obj, object_hook=None):
-    """``from_obj(value)`` of the JSON value in ``path``, ``what`` naming
-    its kind in errors: bad JSON, or a ``KeyError``, ``IndexError``,
+def _parse_text(path, object_hook=None):
+    """``json.loads`` of the text of ``path``."""
+    return json.loads(Path(path).read_text(), object_hook=object_hook)
+
+
+def load_json(path, what: str, from_obj, parse=_parse_text):
+    """``from_obj(value)`` of the JSON value ``parse(path)`` reads from
+    ``path`` (by default ``json.loads`` of its text), ``what`` naming its
+    kind in errors: bad JSON, or a ``KeyError``, ``IndexError``,
     ``TypeError`` or ``ValueError`` from ``from_obj``, raises
-    :class:`MalformedFileError` naming the file.  ``object_hook`` goes to
-    the parser (``json.loads``)."""
+    :class:`MalformedFileError` naming the file."""
     try:
-        obj = json.loads(Path(path).read_text(), object_hook=object_hook)
+        obj = parse(path)
     except json.JSONDecodeError as exc:
         raise MalformedFileError(f"cannot parse {what} file {path}: {exc}") from exc
     try:
@@ -565,7 +696,7 @@ def load_json(path, what: str, from_obj, object_hook=None):
         raise MalformedFileError(f"{what} file {path} is malformed: {exc}") from exc
 
 
-def read_json(path, fmt: str, version: int, what: str, from_obj, object_hook=None):
+def read_json(path, fmt: str, version: int, what: str, from_obj, parse=_parse_text):
     """``from_obj(body)`` of a :func:`write_json` file, read through
     :func:`load_json`: a wrong header raises :class:`FormatVersionError`,
     and a non-object :class:`MalformedFileError`."""
@@ -580,21 +711,33 @@ def read_json(path, fmt: str, version: int, what: str, from_obj, object_hook=Non
             )
         return from_obj(body)
 
-    return load_json(path, what, from_file, object_hook)
+    return load_json(path, what, from_file, parse)
 
 
 def save_instance(problem: MultistageProblem, path) -> None:
     write_json(path, INSTANCE_FORMAT, INSTANCE_VERSION, problem_to_obj(problem))
 
 
+def _parse_instance(path):
+    """The JSON value of an instance file: matrix ``data`` lists in the
+    layout ``write_json`` gives them are converted in bulk
+    (``_bulk_parse``); a file with any other layout is parsed as text,
+    each matrix built as its object closes (``_matrix_hook``).  Both give
+    the same value, bit for bit."""
+    obj = _bulk_parse(Path(path).read_bytes())
+    return _parse_text(path, _matrix_hook) if obj is None else obj
+
+
 def load_instance(path) -> MultistageProblem:
-    """The instance in ``path``; its matrices are built while it is parsed
-    (``_matrix_hook``)."""
+    """The instance in ``path``.  Matrices written by :func:`save_instance`
+    are read in bulk, without a Python float per zero entry; any JSON text
+    with the same content loads to the same problem, and a malformed file
+    raises the same error either way (``_parse_instance``)."""
     return read_json(
         path,
         INSTANCE_FORMAT,
         INSTANCE_VERSION,
         "instance",
         problem_from_obj,
-        _matrix_hook,
+        _parse_instance,
     )

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -347,6 +348,13 @@ def test_every_file_is_the_canonical_text(tmp_path, monkeypatch, module, write):
         np.array(2.5),
         [np.ones(2), {"m": np.eye(2), "v": np.array([])}, [np.array([1.5])]],
         {"rows": 1, "cols": 3, "data": np.array([1.0, 2.0, 3.0])},
+        np.zeros(7),
+        np.zeros(1),
+        np.array([0.0, -0.0, 0.0, 0.0, -0.0]),
+        np.array([5e-324, 0.0, -2.2250738585072014e-308, 1e-310, 0.0, 0.0]),
+        np.linspace(-3.0, 4.0, 41) ** 3 / 7.0,
+        np.array([0.0, 0.0, 1.5, 0.0, 1e-05, 1e22, 0.0, -7.0, 0.0]),
+        {"m": [np.eye(3).ravel(), np.ones(2), np.array([0.0, 2.5])]},
     ],
 )
 def test_write_json_matches_json_dumps(tmp_path, value):
@@ -364,27 +372,29 @@ def test_write_json_matches_json_dumps(tmp_path, value):
         (np.int64(3), TypeError),
         ([1, np.int64(3)], TypeError),
         ([np.array([1.0, float("nan")])], ValueError),
+        (np.array([0.0, 0.0, float("inf"), 0.0]), ValueError),
     ],
-    ids=["nan", "inf-in-list", "nested-inf", "int64", "int64-in-list", "nan-in-array"],
+    ids=["nan", "inf-in-list", "nested-inf", "int64", "int64-in-list", "nan-in-array",
+         "inf-among-zeros"],
 )
 def test_failed_write_keeps_the_old_file(tmp_path, value, error):
     # As json.dumps does, the writer raises; the target keeps its old bytes
     # and no temporary file is left beside it.
-    with pytest.raises(error):
+    with pytest.raises(error) as expected:
         json.dumps(value, allow_nan=False, default=_array_as_list)
     path = tmp_path / "out.json"
     model.write_json(path, "test", 1, {"value": [1.0, 2.0]})
     old = path.read_bytes()
-    with pytest.raises(error):
+    with pytest.raises(error, match=f"^{re.escape(str(expected.value))}$"):
         model.write_json(path, "test", 1, {"a": list(range(1000)), "value": value})
     assert path.read_bytes() == old
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
 
 
 def test_instance_write_and_read_hold_no_float_list_of_the_file(tmp_path):
-    # The writer turns one array at a time into Python floats, and the
-    # reader builds each matrix as soon as its object is parsed.  What the
-    # reader still holds at its peak is the text, as bytes and as str.
+    # The writer formats only the nonzero entries of one array at a time,
+    # and the reader converts each matrix in bulk from the file's bytes.
+    # What the reader holds at its peak is those bytes and the arrays.
     params = StorageNetworkParams(n_storage=10, T=24, n_regimes=3)
     problem = generate_storage_instance(params, np.random.default_rng(10))
     path = tmp_path / "inst.json"  # 8.4 MB
@@ -400,8 +410,8 @@ def test_instance_write_and_read_hold_no_float_list_of_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert size > 8e6
-    assert save_peak <= 0.25 * size
-    assert load_peak <= 2.25 * size
+    assert save_peak <= 0.1 * size
+    assert load_peak <= 1.75 * size
     assert np.array_equal(loaded.stage0.A, problem.stage0.A)
     real = loaded.process.outcomes[-1][-1]
     assert real.A.flags.c_contiguous and real.A.dtype == np.float64
@@ -424,3 +434,203 @@ def test_malformed_matrix_data_names_the_file(tmp_path, edit):
     path.write_text(json.dumps(obj))
     with pytest.raises(MalformedFileError, match="inst.json"):
         load_instance(path)
+
+
+def _text_value(path):
+    """The instance file's JSON value as the text path parses it."""
+    return model._parse_text(path, model._matrix_hook)
+
+
+def assert_same_value(a, b):
+    """Equal JSON values whose arrays and floats agree bit for bit (so the
+    sign of a zero counts)."""
+    assert type(a) is type(b)
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert_same_value(a[key], b[key])
+    elif isinstance(a, list):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_value(x, y)
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+    elif isinstance(a, float):
+        assert np.float64(a).tobytes() == np.float64(b).tobytes()
+    else:
+        assert a == b
+
+
+def instance_arrays(problem):
+    reals = [problem.stage0] + [r for stage in problem.process.outcomes for r in stage]
+    out = [arr for r in reals for arr in (r.A, r.B, r.b, r.c)]
+    proc = problem.process
+    return out + list(proc.probs or ()) + [
+        arr for arr in (proc.initial,) if arr is not None
+    ] + list(proc.transitions or ())
+
+
+def assert_same_arrays(p, q):
+    pairs = list(zip(instance_arrays(p), instance_arrays(q), strict=True))
+    for a, b in pairs:
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+_entries = st.one_of(
+    st.sampled_from([0.0, 0.0, -0.0, 5e-324, -2.5e-310, 1.0, 1e22, 1e-05]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def small_instances(draw):
+    m, n, r = draw(st.integers(0, 3)), draw(st.integers(1, 4)), draw(st.integers(0, 2))
+
+    def vec(k):
+        return np.array(draw(st.lists(_entries, min_size=k, max_size=k)), dtype=float)
+
+    def real():
+        return StageRealization(
+            A=vec(m * n).reshape(m, n), B=vec(r * n).reshape(r, n), b=vec(m), c=vec(n)
+        )
+
+    k = draw(st.integers(1, 3))
+    outcomes = (tuple(real() for _ in range(k)),)
+    if draw(st.booleans()):
+        process = UncertaintyProcess(
+            kind=ProcessKind.MARKOV, outcomes=outcomes, initial=vec(k), transitions=()
+        )
+    else:
+        process = UncertaintyProcess(
+            kind=ProcessKind.STAGEWISE_INDEPENDENT, outcomes=outcomes, probs=(vec(k),)
+        )
+    return MultistageProblem(T=1, stage0=real(), process=process, resource_dims=(r,))
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem=small_instances())
+def test_instance_round_trip_matches_the_text_path_bit_for_bit(tmp_path_factory, problem):
+    # Zeros of either sign, subnormals and any finite float: the bulk
+    # writer's text is json.dumps's, the bulk reader takes it, and every
+    # array comes back with the bits the JSON text path gives.
+    path = tmp_path_factory.mktemp("roundtrip") / "inst.json"
+    save_instance(problem, path)
+    assert path.read_bytes() == canonical(
+        {"format": model.INSTANCE_FORMAT, "version": model.INSTANCE_VERSION,
+         **model.problem_to_obj(problem)}
+    )
+    bulk = model._bulk_parse(path.read_bytes())
+    assert bulk is not None
+    assert_same_value(bulk, _text_value(path))
+    assert_same_arrays(load_instance(path), problem)
+
+
+def _storage_instance():
+    params = StorageNetworkParams(n_storage=2, T=3, n_regimes=2)
+    return generate_storage_instance(params, np.random.default_rng(3))
+
+
+def _exponents(text):
+    """The canonical text with exponent and signed-zero spellings of
+    matrix entries, which the bulk reader parses as ``json`` does."""
+    return (
+        text.replace("      -1.0,\n", "      -1E0,\n")
+        .replace("      1.0,\n", "      1.0e+0,\n")
+        .replace("      0.0,\n", "      0e+00,\n", 3)
+        .replace("      0.0,\n", "      -0.0,\n", 1)
+    )
+
+
+def _integers(text):
+    """The canonical text with integer matrix entries: to ``json`` an
+    integer ``-0`` is a positive zero."""
+    return text.replace("      1.0,\n", "      1,\n").replace("      0.0,\n", "      -0,\n", 2)
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda obj: json.dumps(obj),
+        lambda obj: json.dumps(obj, indent=4, sort_keys=True),
+        lambda obj: json.dumps(obj, indent=1),
+        lambda obj: json.dumps(obj, indent="\t", sort_keys=True),
+        lambda obj: _exponents(json.dumps(obj, indent=2, sort_keys=True)),
+        lambda obj: _integers(json.dumps(obj, indent=2, sort_keys=True)),
+        lambda obj: json.dumps(
+            {**obj, "notes": {"data": [1.5, 0.0, -0.0, 2e-308]}}, indent=2, sort_keys=True
+        ),
+        lambda obj: json.dumps(
+            {**obj, "notes": [{"data": [1, 2]}, {"rows": 0}]}, indent=2, sort_keys=True
+        ),
+        lambda obj: json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\r\n"),
+        lambda obj: json.dumps({**obj, "kind": "été"}, indent=2, sort_keys=True),
+    ],
+    ids=["compact", "indent-4", "indent-1-unsorted", "tabs", "exponent-tokens",
+         "integer-tokens", "data-list-outside-a-matrix", "integer-data-outside-a-matrix",
+         "crlf", "escaped-string"],
+)
+def test_any_json_layout_loads_as_the_text_path(tmp_path, write):
+    problem = _storage_instance()
+    path = tmp_path / "inst.json"
+    save_instance(problem, path)
+    path.write_text(write(json.loads(path.read_text())))
+    assert_same_value(model._parse_instance(path), _text_value(path))
+    loaded = load_instance(path)
+    assert loaded.T == problem.T
+    expected = model.read_json(
+        path, model.INSTANCE_FORMAT, model.INSTANCE_VERSION, "instance",
+        model.problem_from_obj, _text_value,
+    )
+    assert_same_arrays(loaded, expected)
+
+
+def test_canonical_instance_is_read_in_bulk(tmp_path, monkeypatch):
+    # A file save_instance wrote never reaches the text parser's matrices.
+    path = tmp_path / "inst.json"
+    save_instance(_storage_instance(), path)
+
+    def no_text_path(*args, **kwargs):
+        raise AssertionError("text path taken")
+
+    monkeypatch.setattr(model, "_parse_text", no_text_path)
+    assert_same_arrays(load_instance(path), _storage_instance())
+
+
+def _canonical_edit(edit):
+    def write(obj):
+        edit(obj["process"]["outcomes"][0][0]["A"])
+        return json.dumps(obj, indent=2, sort_keys=True)
+
+    return write
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        _canonical_edit(lambda A: A["data"].__setitem__(0, "one")),
+        _canonical_edit(lambda A: A.__setitem__("data", [A["data"], []])),
+        _canonical_edit(lambda A: A["data"].append(1.0)),
+        _canonical_edit(lambda A: A.__setitem__("data", {"x": 1.0})),
+        _canonical_edit(lambda A: A.__setitem__("data", None)),
+        lambda obj: json.dumps(obj, indent=2, sort_keys=True).replace("0.0\n", "0.0,\n", 1),
+        lambda obj: json.dumps(obj, indent=2, sort_keys=True)[:5000],
+        lambda obj: json.dumps(obj, indent=2, sort_keys=True).replace("1.0,\n", "1.,\n", 1),
+    ],
+    ids=["string-entry", "ragged-data", "wrong-entry-count", "object-data", "null-data",
+         "trailing-comma", "truncated", "bad-number"],
+)
+def test_malformed_canonical_data_keeps_its_error_text(tmp_path, write):
+    path = tmp_path / "inst.json"
+    save_instance(_storage_instance(), path)
+    path.write_text(write(json.loads(path.read_text())))
+    with pytest.raises(MalformedFileError) as bulk:
+        load_instance(path)
+    with pytest.raises(MalformedFileError) as text:
+        model.read_json(
+            path, model.INSTANCE_FORMAT, model.INSTANCE_VERSION, "instance",
+            model.problem_from_obj, _text_value,
+        )
+    assert str(bulk.value) == str(text.value)
+    assert "inst.json" in str(bulk.value)
