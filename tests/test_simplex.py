@@ -181,6 +181,22 @@ def test_singular_pivot_fixture_solves_cold():
     assert np.abs(A @ res.x - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
 
 
+@pytest.mark.xfail(strict=True, reason="the warm solve reports a false 'unbounded'")
+def test_false_unbounded_fixture_solves_warm_and_cold():
+    # Captured backward-pass storage stage LP (81 x 116).  From its recorded
+    # start the primal simplex met an entering column with no entry above
+    # the pivot floor after 36 updates of a nearly singular basis, and
+    # reported "unbounded".  The optimum is HiGHS's (the fixture's
+    # context's ``highs_objective``).
+    spec, start, _ = load_subproblem(FIXTURES / "lp_false_unbounded.json")
+    A, b, c = spec.A, spec.rhs, spec.c
+    for basis in (start, None):
+        res = solve_standard_lp(A, b, c, start_basis=basis)
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(8188.118575453894, rel=1e-9, abs=0.0)
+        assert np.abs(A @ res.x - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
+
+
 def test_factorization_goes_through_module_lu_names(monkeypatch):
     # The traced benchmark counts factorizations by wrapping these two
     # module globals; the basis kernel must look them up there.  The QP
