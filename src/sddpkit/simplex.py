@@ -150,10 +150,15 @@ class _Basis:
         self._factored = self.cols.copy()
         self._updates = 0
 
+    @property
+    def updated(self) -> bool:
+        """Whether the inverse has had updates since its factorization."""
+        return bool(self._updates) or not np.array_equal(self.cols, self._factored)
+
     def refresh(self) -> None:
         """Refactorize unless the inverse was just factorized from the
         current columns."""
-        if self._updates or not np.array_equal(self.cols, self._factored):
+        if self.updated:
             self.refactorize()
 
     def solve(self, v: np.ndarray) -> np.ndarray:
@@ -276,7 +281,10 @@ def _iterate(
 
     Only the kernel's enterable columns enter: Dantzig's choice for the
     first ``STALL_LIMIT`` pivots, Bland's after them.  Returns the terminal
-    status and the final basic values.
+    status and the final basic values.  "unbounded" is only returned from
+    a freshly factorized inverse: updates can take a nearly singular
+    basis's pivots below the floor, so an updated one is refactorized and
+    the pivot chosen again (a singular refactorization raises).
     """
     matrix = basis.matrix
     m, width = matrix.shape
@@ -294,7 +302,10 @@ def _iterate(
         d = basis.solve(matrix[:, q])
         pos = d > basis.pivot_floor(d)
         if not pos.any():
-            return "unbounded", x_b
+            if not basis.updated:
+                return "unbounded", x_b
+            basis.refactorize()
+            continue
         ratios = np.full(m, np.inf)
         ratios[pos] = x_b[pos] / d[pos]
         theta = ratios.min()
@@ -535,12 +546,19 @@ def _solve_lp_once(
         x_b = basis.solve(bw)
         cost1 = np.zeros(n + m)
         cost1[n:] = 1.0
-        status, x_b = _iterate(basis, cost1, x_b)
-        if status == "unbounded":
-            raise NumericalBreakdown("phase-1 problem reported unbounded")
-        infeas = float(cost1[basis.cols] @ x_b)
-        if infeas > 1e-9 * (1.0 + np.abs(bw).sum()):
-            return LpResult(status="infeasible")
+        while True:
+            status, x_b = _iterate(basis, cost1, x_b)
+            if status == "unbounded":
+                raise NumericalBreakdown("phase-1 problem reported unbounded")
+            infeas = float(cost1[basis.cols] @ x_b)
+            if infeas <= 1e-9 * (1.0 + np.abs(bw).sum()):
+                break
+            if not basis.updated:
+                return LpResult(status="infeasible")
+            # As for "unbounded": confirm on a fresh factorization.
+            basis.refactorize()
+            x_b = basis.solve(bw)
+            x_b[x_b < 0.0] = 0.0
         # Pivot remaining artificials out wherever the row is not redundant.
         for pos in range(m):
             if basis.cols[pos] < n:

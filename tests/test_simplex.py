@@ -51,6 +51,41 @@ def test_unbounded_detected():
     assert res.status == "unbounded"
 
 
+def _updates_at_each_factorization(monkeypatch):
+    """A list that records, at each ``_Basis`` factorization, how many
+    updates its inverse had had (``None`` for a new basis)."""
+    seen = []
+    inner = simplex._Basis.refactorize
+
+    def recorded(basis):
+        seen.append(getattr(basis, "_updates", None))
+        inner(basis)
+
+    monkeypatch.setattr(simplex._Basis, "refactorize", recorded)
+    return seen
+
+
+def test_unbounded_verdict_comes_from_a_fresh_factorization(monkeypatch):
+    # min -x1 - 2 x2 s.t. x1 - x2 + s1 = 1, -x1 + x2 + s2 = 1: x2 enters
+    # first, then the ray (t, t) shows.  The updated inverse is factorized
+    # again before the verdict.
+    seen = _updates_at_each_factorization(monkeypatch)
+    A = np.array([[1.0, -1.0, 1.0, 0.0], [-1.0, 1.0, 0.0, 1.0]])
+    res = solve_standard_lp(A, np.array([1.0, 1.0]), np.array([-1.0, -2.0, 0.0, 0.0]))
+    assert res.status == "unbounded"
+    assert seen == [None, 1]
+
+
+def test_infeasible_verdict_comes_from_a_fresh_factorization(monkeypatch):
+    # x1 + x2 = 2 and x1 + x2 = 1: phase 1 brings x1 in and stops with an
+    # artificial at 1, which a fresh factorization confirms.
+    seen = _updates_at_each_factorization(monkeypatch)
+    A = np.array([[1.0, 1.0], [1.0, 1.0]])
+    res = solve_standard_lp(A, np.array([2.0, 1.0]), np.array([1.0, 1.0]))
+    assert res.status == "infeasible"
+    assert seen == [None, 1]
+
+
 def test_redundant_row_handled():
     A = np.array([[1.0, 1.0], [2.0, 2.0]])
     b = np.array([1.0, 2.0])
@@ -181,13 +216,12 @@ def test_singular_pivot_fixture_solves_cold():
     assert np.abs(A @ res.x - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
 
 
-@pytest.mark.xfail(strict=True, reason="the warm solve reports a false 'unbounded'")
 def test_false_unbounded_fixture_solves_warm_and_cold():
     # Captured backward-pass storage stage LP (81 x 116).  From its recorded
     # start the primal simplex met an entering column with no entry above
     # the pivot floor after 36 updates of a nearly singular basis, and
-    # reported "unbounded".  The optimum is HiGHS's (the fixture's
-    # context's ``highs_objective``).
+    # reported "unbounded"; the verdict now waits for a refactorization.
+    # The optimum is HiGHS's (the fixture's context's ``highs_objective``).
     spec, start, _ = load_subproblem(FIXTURES / "lp_false_unbounded.json")
     A, b, c = spec.A, spec.rhs, spec.c
     for basis in (start, None):
