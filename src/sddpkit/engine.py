@@ -236,10 +236,13 @@ def _solve_spec(
     when given) and, with ``debug_dump`` set, writes the spec and ``start``
     to ``subproblem_<key>.json`` for replay.  The key also names the role
     whose basis a stage LP keeps, so the iteration goes into the dump's
-    context, not its name."""
+    context, not its name.  The context also names the spec's factor slot
+    as the solve found it (``_slot_context``): a failure that only a
+    carried inverse produces need not replay from the recorded start."""
     where = f"stage {t} outcome {outcome}"
     if iteration is not None:
         where = f"iteration {iteration} {where}"
+    slot = _slot_context(spec.factor) if config.debug_dump else None
     cause = None
     try:
         sol = config.solver.solve(spec, start_basis=start)
@@ -253,11 +256,21 @@ def _solve_spec(
         tag = "_".join(str(part) for part in key)
         path = Path(config.debug_dump) / f"subproblem_{tag}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
-        context = {"key": list(key), "error": str(error)}
+        context = {"key": list(key), "error": str(error), "factor": slot}
         if iteration is not None:
             context["iteration"] = iteration
         save_subproblem(spec, path, start, context)
     raise error from cause
+
+
+def _slot_context(factor) -> dict | None:
+    """The dump context's record of a spec's ``CarriedFactor`` slot: its
+    kind (``"live"`` or ``"fresh"``) and the update count of the inverse it
+    holds (``None`` when it holds none); ``None`` without a slot."""
+    if factor is None:
+        return None
+    held = factor.inv is not None
+    return {"kind": "live" if factor.live else "fresh", "updates": factor.updates if held else None}
 
 
 def _solution_error(sol, spec, where: str) -> EngineError | None:

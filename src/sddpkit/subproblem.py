@@ -37,7 +37,8 @@ class SubproblemSpec:
     object, which must not change in place.  A fresh slot changes no
     result.  A live slot (the policy simulation's) changes results only
     to rounding, and decisions only where optimal vertices tie
-    (``simplex.CarriedFactor``).  No replay file records it."""
+    (``simplex.CarriedFactor``).  A replay file records only the slot's
+    kind and update count, in the engine's dump context."""
 
     c: np.ndarray
     A: np.ndarray

@@ -192,7 +192,9 @@ def test_evaluate_breakdown_writes_debug_dump(
     message = "stage 0 outcome -1: basis factorization failed"
     assert message in capsys.readouterr().err
     spec, start, context = load_subproblem(dump_dir / "subproblem_policy_0_-1.json")
-    assert context == {"key": ["policy", 0, -1], "error": message}
+    # the stage-0 LP's held spec has a live slot, empty on its first solve
+    factor = {"kind": "live", "updates": None}
+    assert context == {"key": ["policy", 0, -1], "error": message, "factor": factor}
     assert solve(BundledSolver(), spec, start).status is SolveStatus.OPTIMAL
 
 

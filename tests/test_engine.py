@@ -182,12 +182,12 @@ def test_trajectory_resource_consistency():
         assert np.abs(real.B @ traj.x[t] - traj.resource[t]).max(initial=0.0) <= 1e-10
 
 
-def assert_replays(path, key, error, iteration=None):
-    """The dump at ``path`` names the solve key, the error and (for a
-    training solve) the iteration, and the bundled solver solves it from the
-    recorded start basis."""
+def assert_replays(path, key, error, iteration=None, factor=None):
+    """The dump at ``path`` names the solve key, the error, the factor slot
+    (none for a training solve) and (for a training solve) the iteration,
+    and the bundled solver solves it from the recorded start basis."""
     spec, start, context = load_subproblem(path)
-    expected = {"key": key, "error": error}
+    expected = {"key": key, "error": error, "factor": factor}
     if iteration is not None:
         expected["iteration"] = iteration
     assert context == expected
@@ -288,8 +288,41 @@ def test_breakdown_in_run_upper_bound_dumps(tmp_path):
         run(newsvendor(), config)
     assert str(info.value) == "stage 0 outcome -1: basis factorization failed"
     assert_replays(
-        tmp_path / "subproblem_policy_0_-1.json", ["policy", 0, -1], str(info.value)
+        tmp_path / "subproblem_policy_0_-1.json", ["policy", 0, -1], str(info.value),
+        factor={"kind": "live", "updates": None},
     )
+
+
+class BreaksOnCarriedInverse(BundledSolver):
+    """Raises a breakdown on the first solve whose spec's factor slot holds
+    an inverse, after recording the slot's kind and update count."""
+
+    slot = None
+
+    def solve(self, spec, start_basis=None):
+        factor = spec.factor
+        if factor is not None and factor.inv is not None:
+            self.slot = {"kind": "live" if factor.live else "fresh", "updates": factor.updates}
+            raise NumericalBreakdown("basis factorization failed")
+        return super().solve(spec, start_basis)
+
+
+def test_policy_dump_names_the_carried_factor(tmp_path):
+    # A simulated LP whose held spec carries a live inverse fails: its dump
+    # says so, with the inverse's update count, since the replay from the
+    # recorded start factorizes afresh.
+    p = storage_instance()
+    pool, _ = run(p, EngineConfig(iterations=6, seed=0, ub_every=0))
+    solver = BreaksOnCarriedInverse()
+    config = EngineConfig(solver=solver, debug_dump=str(tmp_path))
+    with pytest.raises(NumericalBreakdown) as info:
+        estimate_upper_bound(p, pool, 12, np.random.default_rng(4), config=config)
+    [path] = tmp_path.iterdir()
+    spec, start, context = load_subproblem(path)
+    assert solver.slot["kind"] == "live" and type(solver.slot["updates"]) is int
+    assert context == {"key": context["key"], "error": str(info.value), "factor": solver.slot}
+    assert context["key"][0] == "policy" and start is not None
+    assert BundledSolver().solve(spec, start).status is SolveStatus.OPTIMAL
 
 
 class RecordsCalls(BundledSolver):
