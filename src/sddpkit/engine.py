@@ -269,8 +269,8 @@ def _slot_context(factor) -> dict | None:
     holds (``None`` when it holds none); ``None`` without a slot."""
     if factor is None:
         return None
-    held = factor.inv is not None
-    return {"kind": "live" if factor.live else "fresh", "updates": factor.updates if held else None}
+    updates = None if factor.inv is None else factor.updates
+    return {"kind": "live" if factor.live else "fresh", "updates": updates}
 
 
 def _solution_error(sol, spec, where: str) -> EngineError | None:

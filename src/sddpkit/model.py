@@ -394,13 +394,15 @@ def _matrix_hook(obj: dict) -> dict:
 # A JSON number with a fraction or an exponent: the tokens ``json`` parses
 # with ``float`` (an integer token becomes an ``int``, which the bulk
 # reader leaves to the text path).
-_FLOAT_TOKEN = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)")
-_NEWLINE, _SPACE, _COMMA, _ZERO, _POINT = b"\n ,0."
+_FLOAT_TOKEN = re.compile(
+    rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+)
+_NEWLINE, _SPACE, _COMMA, _ZERO, _POINT = b"\n ,0."  # byte values
 
 
 def _bulk_floats(buf: bytes, start: int, stop: int, width: int) -> np.ndarray | None:
     """The floats of ``buf[start:stop]``, the inside of a ``data`` list
-    whose key is indented by ``width`` spaces, when it has the layout
+    whose key is at column ``width``, when it has the layout
     ``write_json`` gives it: one entry per line at ``width + 2`` spaces,
     each but the last followed by a comma, and the closing bracket on its
     own line at ``width``.  An entry ``0.0`` is found by comparing bytes;
@@ -415,12 +417,11 @@ def _bulk_floats(buf: bytes, start: int, stop: int, width: int) -> np.ndarray | 
     ends = np.append(lines[1:-1] - 1, lines[-1])
     # Each entry's line is its indent, its token and a comma (none after
     # the last), so the segment is newlines, commas, tokens and n indents
-    # of width + 2 bytes, then the bracket's indent of width.  Tokens hold
-    # no space (checked below), so counting the spaces checks every indent.
-    if (
-        (ends <= starts).any()
-        or (seg[ends[:-1]] != _COMMA).any()
-        or np.count_nonzero(seg == _SPACE) != starts.size * (width + 2) + width
+    # of width + 2 bytes, then the bracket's indent of width.  Tokens are
+    # nonempty and hold no space (checked below), so counting the spaces
+    # checks every indent.
+    if (seg[ends[:-1]] != _COMMA).any() or (
+        np.count_nonzero(seg == _SPACE) != starts.size * (width + 2) + width
     ):
         return None
     zero = ends - starts == 3
@@ -449,15 +450,15 @@ def _bulk_parse(buf: bytes):
     ``{rows, cols, data}`` object, as ``_matrix_hook`` makes it, and its
     ``tolist()`` elsewhere, as the parser makes it.  Without a backslash,
     ``"data"`` can only be spelled as those bytes, so every ``data`` key
-    the parser sees holds an index; each index must come back once."""
+    the parser sees holds an index, and where a key repeats, the parser
+    keeps the last one's, as it would keep the last list."""
     pieces, arrays, pos = [], [], 0
     while (key := buf.find(b'"data"', pos)) >= 0:
-        line = buf.rfind(b"\n", 0, key) + 1
-        width = key - line
-        bracket = buf.find(b"]", key)
-        if buf[line:key] != b" " * width or not buf.startswith(b'"data": [', key):
+        width = key - buf.rfind(b"\n", 0, key) - 1  # the key's column
+        if not buf.startswith(b'"data": [', key):
             return None
         inside = key + len(b'"data": [')
+        bracket = buf.find(b"]", inside)
         if bracket == inside:
             arr = np.zeros(0)
         elif bracket < 0 or (arr := _bulk_floats(buf, inside, bracket, width)) is None:
@@ -469,21 +470,17 @@ def _bulk_parse(buf: bytes):
     rest = b"".join(pieces)
     if b"\\" in rest or not rest.isascii():
         return None
-    used = []
 
     def put_back(obj: dict) -> dict:
-        index = obj.get("data")
-        if type(index) is int:
-            used.append(index)
-            arr = arrays[index]
+        if "data" in obj:
+            arr = arrays[obj["data"]]
             obj["data"] = arr if obj.keys() == {"rows", "cols", "data"} else arr.tolist()
         return obj
 
     try:
-        obj = json.loads(rest.decode("ascii"), object_hook=put_back)
+        return json.loads(rest.decode("ascii"), object_hook=put_back)
     except json.JSONDecodeError:
         return None
-    return obj if sorted(used) == list(range(len(arrays))) else None
 
 
 def matrix_from_obj(obj: dict) -> np.ndarray:

@@ -549,6 +549,15 @@ def _integers(text):
     return text.replace("      1.0,\n", "      1,\n").replace("      0.0,\n", "      -0,\n", 2)
 
 
+def _dedent_an_entry(text):
+    """The canonical text with one matrix entry indented a space less, which
+    a JSON parser ignores: a reader that placed tokens by the indent alone
+    would drop the entry's first character."""
+    entry = re.compile(r"\n +(-?[1-9][0-9]*\.[0-9]+|-0\.0),?\n")
+    at = entry.search(text, text.index('"data": [')).start() + 1
+    return text[:at] + text[at + 1 :]
+
+
 @pytest.mark.parametrize(
     "write",
     [
@@ -564,12 +573,26 @@ def _integers(text):
         lambda obj: json.dumps(
             {**obj, "notes": [{"data": [1, 2]}, {"rows": 0}]}, indent=2, sort_keys=True
         ),
+        lambda obj: json.dumps(
+            {**obj, "notes": {"data": [1.5], "data ": [2.0]}}, indent=2, sort_keys=True
+        ).replace('"data ": [', '"data": ['),
         lambda obj: json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\r\n"),
         lambda obj: json.dumps({**obj, "kind": "été"}, indent=2, sort_keys=True),
+        lambda obj: json.dumps(
+            {**obj, "kind": "été"}, indent=2, sort_keys=True, ensure_ascii=False
+        ),
+        lambda obj: json.dumps(
+            {**obj, "notes": [{"data": 0}, {"data": 999}]}, indent=2, sort_keys=True
+        ).replace('"data"', '"d\\u0061ta"'),
+        lambda obj: _dedent_an_entry(json.dumps(obj, indent=2, sort_keys=True)),
+        lambda obj: re.sub(
+            r'"data": \[\n +', '"data": [', json.dumps(obj, indent=2, sort_keys=True), count=1
+        ),
     ],
     ids=["compact", "indent-4", "indent-1-unsorted", "tabs", "exponent-tokens",
          "integer-tokens", "data-list-outside-a-matrix", "integer-data-outside-a-matrix",
-         "crlf", "escaped-string"],
+         "repeated-data-key", "crlf", "escaped-string", "utf-8-string", "escaped-data-key",
+         "dedented-entry", "entry-on-the-bracket-line"],
 )
 def test_any_json_layout_loads_as_the_text_path(tmp_path, write):
     problem = _storage_instance()
@@ -598,6 +621,21 @@ def test_canonical_instance_is_read_in_bulk(tmp_path, monkeypatch):
     assert_same_arrays(load_instance(path), _storage_instance())
 
 
+def _drop_a_comma(text):
+    """The canonical text without the comma after a matrix entry that
+    still reads as a number with its last digit cut off."""
+    entry = re.compile(r"[0-9]\.[0-9]{2,}(,)\n")
+    at = entry.search(text, text.index('"data": [')).start(1)
+    return text[:at] + text[at + 1 :]
+
+
+def _entry_on_the_closing_line(text):
+    """The canonical text with one more entry, without a comma before it,
+    on the closing line of a matrix's data list."""
+    at = text.index("]", text.index('"data": [\n'))
+    return text[:at] + "0.0" + text[at:]
+
+
 def _canonical_edit(edit):
     def write(obj):
         edit(obj["process"]["outcomes"][0][0]["A"])
@@ -617,9 +655,12 @@ def _canonical_edit(edit):
         lambda obj: json.dumps(obj, indent=2, sort_keys=True).replace("0.0\n", "0.0,\n", 1),
         lambda obj: json.dumps(obj, indent=2, sort_keys=True)[:5000],
         lambda obj: json.dumps(obj, indent=2, sort_keys=True).replace("1.0,\n", "1.,\n", 1),
+        lambda obj: _drop_a_comma(json.dumps(obj, indent=2, sort_keys=True)),
+        lambda obj: _entry_on_the_closing_line(json.dumps(obj, indent=2, sort_keys=True)),
     ],
     ids=["string-entry", "ragged-data", "wrong-entry-count", "object-data", "null-data",
-         "trailing-comma", "truncated", "bad-number"],
+         "trailing-comma", "truncated", "bad-number", "missing-comma",
+         "entry-on-the-closing-line"],
 )
 def test_malformed_canonical_data_keeps_its_error_text(tmp_path, write):
     path = tmp_path / "inst.json"
